@@ -52,9 +52,9 @@ bench-smoke:
 		--out BENCH_trace_engine.json \
 		--baseline benchmarks/baselines/bench_smoke.json
 
-## the committed continental-scale record: brute-vs-pruned calibration
-## plus the five-platform deadline table at n=10^6 (docs/performance.md,
-## "Large-n regime"); takes a few minutes
+## the continental-scale record (not kept in the repository):
+## brute-vs-pruned calibration plus the five-platform deadline table at
+## n=10^6 (docs/performance.md, "Large-n regime"); slow
 bench-large:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_large_n.py \
 		--out BENCH_large_n.json

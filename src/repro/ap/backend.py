@@ -24,7 +24,6 @@ class ApBackend(Backend):
     """An associative processor running the AP algorithms of [12, 13]."""
 
     deterministic_timing = True
-    supports_trace_replay = True
 
     def __init__(self, config: Union[str, ApConfig] = STARAN) -> None:
         if isinstance(config, str):

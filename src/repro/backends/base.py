@@ -37,11 +37,6 @@ class Backend(abc.ABC):
     #: modelled times (the paper's determinism property; False for MIMD).
     deterministic_timing: bool = True
 
-    #: True when the backend can charge its cost ledgers from a recorded
-    #: :class:`~repro.core.trace.FunctionalTrace` without re-running the
-    #: :mod:`repro.core` algorithms (see docs/performance.md).
-    supports_trace_replay: bool = False
-
     @abc.abstractmethod
     def track_and_correlate(self, fleet: FleetState, frame: RadarFrame) -> TaskTiming:
         """Run Task 1 in place; return the platform's modelled timing."""
@@ -63,7 +58,9 @@ class Backend(abc.ABC):
 
         Must return a :class:`TaskTiming` byte-identical (after canonical
         JSON serialization) to what :meth:`track_and_correlate` returns
-        on the fleet/frame state the period was recorded from.
+        on the fleet/frame state the period was recorded from.  The sweep
+        harness measures every cell through this pair of methods (see
+        docs/performance.md), so every measured backend implements them.
         """
         raise NotImplementedError(f"{self.name} does not support trace replay")
 

@@ -36,7 +36,6 @@ class ReferenceBackend(Backend):
 
     name = "reference"
     deterministic_timing = True
-    supports_trace_replay = True
 
     def _charge_task1(self, task, n: int, frame_n: int, stats) -> TaskTiming:
         # A sequential machine scans every (radar, aircraft) pair each

@@ -221,7 +221,6 @@ def detect(
     mode: DetectionMode = DetectionMode.SIGNED,
     *,
     chunk: Optional[int] = None,
-    chunk_budget_bytes: Optional[int] = None,
 ) -> DetectionStats:
     """Full Task-2 pass: every aircraft against every other.
 
@@ -231,8 +230,8 @@ def detect(
     partner achieving it, ``col`` flags aircraft needing resolution.
 
     ``chunk`` (rows per pass) defaults to whatever fits
-    ``chunk_budget_bytes`` (:data:`DETECT_CHUNK_BUDGET_BYTES` if unset)
-    via :func:`detect_chunk_rows`; outputs are identical for any chunk.
+    :data:`DETECT_CHUNK_BUDGET_BYTES` via :func:`detect_chunk_rows`;
+    outputs are identical for any chunk.
     """
     stats = DetectionStats()
     fleet.reset_collision()
@@ -240,7 +239,7 @@ def detect(
     stats.pairs_checked = n * (n - 1)
     stats.critical_per_aircraft = np.zeros(n, dtype=np.int64)
     if chunk is None:
-        chunk = detect_chunk_rows(n, chunk_budget_bytes)
+        chunk = detect_chunk_rows(n)
 
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)

@@ -118,15 +118,8 @@ def resolve(
 def detect_and_resolve(
     fleet: FleetState,
     mode: DetectionMode = DetectionMode.SIGNED,
-    *,
-    chunk_budget_bytes: Optional[int] = None,
 ) -> Tuple[DetectionStats, ResolutionStats]:
-    """The paper's fused ``CheckCollisionPath``: Task 2 then Task 3.
-
-    ``chunk_budget_bytes`` tunes the detection pass's working-set budget
-    (:func:`~repro.core.collision.detect_chunk_rows`); results are
-    chunk-invariant.
-    """
-    det = detect(fleet, mode, chunk_budget_bytes=chunk_budget_bytes)
+    """The paper's fused ``CheckCollisionPath``: Task 2 then Task 3."""
+    det = detect(fleet, mode)
     res = resolve(fleet, mode)
     return det, res

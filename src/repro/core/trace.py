@@ -473,14 +473,13 @@ def stream_trace(
     dropout: float = 0.0,
     clutter: int = 0,
     pruning: Any = "off",
-    detect_chunk_bytes: Optional[int] = None,
 ):
     """Run the functional simulation, yielding records as they complete.
 
     A generator over ``periods`` :class:`TracePeriod` records followed
     by the final :class:`CollisionRecord` — the streaming core both
-    :func:`compute_trace` (materialize) and the harness's bounded-memory
-    replay path (consume-and-discard) are built on.  Each yielded record
+    :func:`compute_trace` (materialize) and the harness's private
+    per-cell pass (consume-and-discard) are built on.  Each yielded record
     is independent; a consumer that drops records after use holds at
     most one period of trace state plus the live fleet.
 
@@ -517,9 +516,7 @@ def stream_trace(
         if effective:
             det, res = detect_and_resolve_pruned(fleet, mode)
         else:
-            det, res = detect_and_resolve(
-                fleet, mode, chunk_budget_bytes=detect_chunk_bytes
-            )
+            det, res = detect_and_resolve(fleet, mode)
     collision = CollisionRecord(
         n_aircraft=fleet.n, alt=fleet.alt.copy(), det=det, res=res
     )
@@ -538,7 +535,6 @@ def compute_trace(
     dropout: float = 0.0,
     clutter: int = 0,
     pruning: Any = "off",
-    detect_chunk_bytes: Optional[int] = None,
 ) -> FunctionalTrace:
     """Run the functional simulation once and record the trace.
 
@@ -563,7 +559,6 @@ def compute_trace(
         dropout=dropout,
         clutter=clutter,
         pruning=pruning,
-        detect_chunk_bytes=detect_chunk_bytes,
     ):
         if isinstance(record, CollisionRecord):
             collision = record

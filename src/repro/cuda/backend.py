@@ -42,7 +42,6 @@ class CudaBackend(Backend):
     """One NVIDIA device running the paper's CUDA ATM program."""
 
     deterministic_timing = True
-    supports_trace_replay = True
 
     def __init__(
         self,

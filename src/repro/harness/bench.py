@@ -3,8 +3,9 @@
 ``run_bench`` times the five-backend sweep three ways on identical
 parameters:
 
-* ``reexec`` — trace engine off: every backend re-runs the functional
-  :mod:`repro.core` simulation (the pre-trace-engine behaviour);
+* ``reexec`` — trace engine off: every cell replays from a private
+  functional pass, so the :mod:`repro.core` simulation re-runs for
+  every backend (the cost of the pre-trace-engine behaviour);
 * ``trace_cold`` — trace engine on, empty memo: the simulation runs once
   per fleet size and all backends replay their cost ledgers from it;
 * ``trace_warm`` — trace engine on, warm in-process memo: pure replay.
@@ -107,7 +108,8 @@ def run_bench(
 
     The three stages run back to back in this process with no result
     cache and no on-disk trace store, so the comparison isolates exactly
-    one variable: functional re-execution versus trace replay.
+    one variable: a private functional pass per cell (``reexec``) versus
+    one trace shared by every backend at a fleet size.
     """
     from .sweep import _TRACE_MEMO, sweep
 

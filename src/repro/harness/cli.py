@@ -53,8 +53,9 @@ report flags:
                        tier at DIR/traces
   --no-cache           measure everything fresh, ignoring the cache
   --no-trace-replay    disable the shared functional-trace engine: every
-                       backend re-runs the simulation instead of replaying
-                       cost ledgers (bytes identical either way; see
+                       cell replays its cost ledgers from a private
+                       functional pass of its own instead of a trace shared
+                       per fleet size (bytes identical either way; see
                        docs/performance.md)
 
 fault tolerance (docs/robustness.md):
@@ -209,8 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument(
         "--no-trace-replay",
         action="store_true",
-        help="re-run the functional simulation per backend instead of"
-        " replaying cost ledgers from a shared trace (bytes identical)",
+        help="replay every cell from a private functional pass instead of"
+        " a trace shared per fleet size (bytes identical)",
     )
     report.add_argument(
         "--resume",

@@ -54,6 +54,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..analysis.deadlines import record_cell_metrics
+from ..core.sweepline import resolve_pruning
 from ..obs import SpanRecord
 from ..obs import count as obs_count
 from ..obs import get_collector as obs_get_collector
@@ -90,9 +91,9 @@ class SweepOptions:
     jobs: int = 1
     #: result cache, or None to measure everything.
     cache: Optional[ResultCache] = None
-    #: run the functional simulation once per cell and replay every
-    #: backend's cost model from the shared trace (byte-identical output;
-    #: see docs/performance.md).  Off = re-execute repro.core per backend.
+    #: share one functional trace per fleet size across every backend's
+    #: cost replay (see docs/performance.md).  Off = every cell replays
+    #: from a private functional pass of its own; bytes are identical.
     trace: bool = True
     #: on-disk tier for functional traces, or None for in-process only.
     traces: Optional[TraceStore] = None
@@ -102,9 +103,6 @@ class SweepOptions:
     #: memory envelope for trace materialization/shipping, or None for
     #: the default (repro.core.trace.DEFAULT_TRACE_BUDGET).
     trace_budget: Optional[Any] = None
-    #: working-set budget for the detection pass's chunking (bytes), or
-    #: None for the collision module's default; results are invariant.
-    detect_chunk_bytes: Optional[int] = None
     #: retry/backoff/timeout policy for failed shards.
     retry: RetryPolicy = RetryPolicy()
     #: deterministic fault injector (chaos tests, --inject-faults).
@@ -148,7 +146,6 @@ def sweep_options(
     traces: Any = _KEEP,
     pruning: Optional[str] = None,
     trace_budget: Any = _KEEP,
-    detect_chunk_bytes: Any = _KEEP,
     retry: Optional[RetryPolicy] = None,
     faults: Any = _KEEP,
     journal: Any = _KEEP,
@@ -164,7 +161,6 @@ def sweep_options(
             getattr(pruning, "value", pruning)
         ),
         trace_budget=_resolve(trace_budget, base.trace_budget),
-        detect_chunk_bytes=_resolve(detect_chunk_bytes, base.detect_chunk_bytes),
         retry=base.retry if retry is None else retry,
         faults=_resolve(faults, base.faults),
         journal=_resolve(journal, base.journal),
@@ -210,7 +206,6 @@ def _measure_shard(
     inject: Optional[Tuple[str, float]] = None,
     collect: bool = False,
     pruning: str = "auto",
-    detect_chunk_bytes: Optional[int] = None,
 ) -> Dict[str, Any]:
     """Measure one (registry name, fleet size) cell; return its dict form.
 
@@ -222,13 +217,10 @@ def _measure_shard(
 
     ``trace_payload`` is the dict form of the cell's
     :class:`~repro.core.trace.FunctionalTrace` (the parent computes each
-    distinct fleet size once, possibly on this same pool); when given the
-    worker replays cost models from it instead of re-running the
-    functional simulation.  The sentinel string ``"self"`` tells the
-    worker to compute its own trace in-process (under ``pruning`` /
-    ``detect_chunk_bytes``) — used when the payload would exceed the
-    trace budget's shipping bound, since traces are pure functions of
-    the cell parameters.  ``None`` forces direct execution — workers
+    distinct fleet size once, possibly on this same pool); the worker
+    replays cost models from it.  Without one — the trace engine is off,
+    or the payload would exceed the trace budget's shipping bound — the
+    worker streams a private functional pass under ``pruning``.  Workers
     never consult ambient policy, so shard results are pure functions of
     the argument tuple.
 
@@ -246,22 +238,11 @@ def _measure_shard(
     """
     _obey_fault_directive(inject)
     from ..core.collision import DetectionMode
-    from ..core.trace import FunctionalTrace, compute_trace
+    from ..core.trace import FunctionalTrace
     from ..obs import Collector, collecting
     from .sweep import measure_platform
 
-    trace: Any = False
-    if trace_payload == "self":
-        trace = compute_trace(
-            n,
-            seed=seed,
-            periods=periods,
-            mode=DetectionMode(mode_value),
-            pruning=pruning,
-            detect_chunk_bytes=detect_chunk_bytes,
-        )
-    elif trace_payload is not None:
-        trace = FunctionalTrace.from_dict(trace_payload)
+    trace = False if trace_payload is None else FunctionalTrace.from_dict(trace_payload)
 
     def run():
         return measure_platform(
@@ -273,6 +254,7 @@ def _measure_shard(
             cache=False,
             trace=trace,
             journal=False,
+            pruning=pruning,
         )
 
     if not collect:
@@ -295,7 +277,6 @@ def _compute_trace_shard(
     periods: int,
     mode_value: str,
     pruning: str = "auto",
-    detect_chunk_bytes: Optional[int] = None,
 ) -> Dict[str, Any]:
     """Run the functional simulation for one fleet size in a worker."""
     from ..core.collision import DetectionMode
@@ -307,7 +288,6 @@ def _compute_trace_shard(
         periods=periods,
         mode=DetectionMode(mode_value),
         pruning=pruning,
-        detect_chunk_bytes=detect_chunk_bytes,
     ).to_dict()
 
 
@@ -378,6 +358,70 @@ def _emit_shard(
     )
 
 
+def _probe_stores(
+    spec: Any,
+    backend: Any,
+    n: int,
+    *,
+    seed: int,
+    periods: int,
+    mode: Any,
+    pruning: str,
+    jobs: int,
+    cache: Optional[ResultCache],
+    journal: Optional[SweepJournal],
+) -> Tuple[Optional[str], Any]:
+    """The cell's store key and its stored measurement, if any.
+
+    The key is None when no store is set or the cell is not pure: only a
+    registry name (a fresh backend per cell) or a backend with
+    deterministic timing is stored, never a stateful instance such as
+    the MIMD model mid-experiment.  The lookup tries the result cache,
+    then the journal; a hit emits the cell's shard (source
+    ``cache``/``journal``) and is copied into the other store, so a
+    resumed run finds it in either.
+    """
+    if (cache is None and journal is None) or not (
+        isinstance(spec, str) or backend.deterministic_timing
+    ):
+        return None, None
+    key = ResultCache.key_for(
+        backend,
+        n=n,
+        seed=seed,
+        periods=periods,
+        mode=mode,
+        pruning="on" if resolve_pruning(pruning, n) else "off",
+    )
+    if cache is not None:
+        hit = cache.get(key)
+        if hit is not None:
+            _emit_shard(backend.name, n, "cache", jobs, hit)
+            if journal is not None:
+                journal.record(key, hit)
+            return key, hit
+    if journal is not None:
+        hit = journal.lookup(key)
+        if hit is not None:
+            _emit_shard(backend.name, n, "journal", jobs, hit)
+            if cache is not None:
+                cache.put(key, hit)
+            return key, hit
+    return key, None
+
+
+def _commit_cell(
+    key: Optional[str], measurement: Any, cache: Any, journal: Any
+) -> None:
+    """Store a freshly measured cell: result cache, then journal."""
+    if key is None:
+        return
+    if cache is not None:
+        cache.put(key, measurement)
+    if journal is not None:
+        journal.record(key, measurement)
+
+
 def _shard_id(platform: str, n: int) -> str:
     """Stable identity of one cell for fault-plan decisions."""
     return f"{platform}@{n}"
@@ -427,9 +471,9 @@ def _pool_trace_payloads(
 
     Sharded across the pool; a pool failure here falls back to an
     inline functional pass (counted), never aborts the sweep.  Cells
-    whose trace would exceed the budget's shipping bound get the
-    ``"self"`` sentinel instead of a payload — each worker recomputes
-    its own (pruned) trace rather than receive a multi-GB dict.
+    whose trace would exceed the budget's shipping bound get no payload
+    — each worker streams its own (pruned) pass rather than receive a
+    multi-GB dict.
     """
     from ..core.trace import (
         DEFAULT_TRACE_BUDGET,
@@ -440,11 +484,10 @@ def _pool_trace_payloads(
     from .sweep import _lookup_trace, _remember_trace
 
     budget = opts.trace_budget or DEFAULT_TRACE_BUDGET
-    payload_by_n: Dict[int, Any] = {}
+    payload_by_n: Dict[int, Dict[str, Any]] = {}
     missing: List[int] = []
     for n_val in wanted_ns:
         if not budget.allows_payload(estimate_trace_bytes(n_val, periods)):
-            payload_by_n[n_val] = "self"
             continue
         t = _lookup_trace(
             n_val,
@@ -468,7 +511,6 @@ def _pool_trace_payloads(
                 periods,
                 mode_value,
                 opts.pruning,
-                opts.detect_chunk_bytes,
             ),
         )
         for n_val in missing
@@ -499,7 +541,6 @@ def _pool_trace_payloads(
                 periods=periods,
                 mode=mode,
                 pruning=opts.pruning,
-                detect_chunk_bytes=opts.detect_chunk_bytes,
             ).to_dict()
         with obs_span(
             "harness.trace",
@@ -598,7 +639,6 @@ def _execute_pool_shards(
                 inject,
                 collect,
                 opts.pruning,
-                opts.detect_chunk_bytes,
             )
 
         futures = [submit(idx) for idx in range(len(poolable))]
@@ -665,10 +705,7 @@ def _execute_pool_shards(
             )
             _emit_shard(names[i], ns[j], "pool", jobs, m, worker_obs=worker_obs)
             rows[i][j] = m
-            if cache is not None and key is not None:
-                cache.put(key, m)
-            if journal is not None and key is not None:
-                journal.record(key, m)
+            _commit_cell(key, m, cache, journal)
     finally:
         box.shutdown()
     return degraded
@@ -710,39 +747,14 @@ def measure_cells(
     #: shards still to measure: (i, j, spec, cell key or None)
     pending: List[Tuple[int, int, Any, Optional[str]]] = []
 
-    from ..core.sweepline import resolve_pruning
-
     for i, spec in enumerate(specs):
         for j, n in enumerate(ns):
-            key = None
-            if (cache is not None or journal is not None) and (
-                isinstance(spec, str) or resolved[i].deterministic_timing
-            ):
-                key = ResultCache.key_for(
-                    resolved[i],
-                    n=n,
-                    seed=seed,
-                    periods=periods,
-                    mode=mode,
-                    pruning="on" if resolve_pruning(opts.pruning, n) else "off",
-                )
-                if cache is not None:
-                    hit = cache.get(key)
-                    if hit is not None:
-                        rows[i][j] = hit
-                        _emit_shard(names[i], n, "cache", jobs, hit)
-                        if journal is not None:
-                            journal.record(key, hit)
-                        continue
-                if journal is not None:
-                    checkpointed = journal.lookup(key)
-                    if checkpointed is not None:
-                        rows[i][j] = checkpointed
-                        _emit_shard(names[i], n, "journal", jobs, checkpointed)
-                        if cache is not None:
-                            cache.put(key, checkpointed)
-                        continue
-            pending.append((i, j, spec, key))
+            key, rows[i][j] = _probe_stores(
+                spec, resolved[i], n, seed=seed, periods=periods, mode=mode,
+                pruning=opts.pruning, jobs=jobs, cache=cache, journal=journal,
+            )
+            if rows[i][j] is None:
+                pending.append((i, j, spec, key))
 
     # Registry-name shards may cross the process boundary; instances run
     # in the parent (they can carry state the fork would then discard).
@@ -808,9 +820,6 @@ def measure_cells(
         metric_inc("atm_shards", source="inline")
         obs_count("harness.shards_measured")
         rows[i][j] = m
-        if cache is not None and key is not None:
-            cache.put(key, m)
-        if journal is not None and key is not None:
-            journal.record(key, m)
+        _commit_cell(key, m, cache, journal)
 
     return names, rows

@@ -82,10 +82,10 @@ def build_report(
         ``jobs``, caching never changes the report's bytes, so neither
         parameter is recorded in the document.
     trace:
-        ``False`` disables the shared functional-trace engine (each
-        backend re-runs the simulation); ``None``/``True`` keep it on.
-        Like ``jobs``, the report bytes are identical either way — see
-        docs/performance.md.
+        ``False`` disables the shared functional-trace engine (every
+        cell replays from a private functional pass); ``None``/``True``
+        keep it on.  Like ``jobs``, the report bytes are identical
+        either way — see docs/performance.md.
     traces:
         A :class:`~repro.harness.cache.TraceStore` for the on-disk
         functional-trace tier; None keeps traces in-process only.

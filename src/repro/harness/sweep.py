@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -27,8 +27,6 @@ from ..backends.base import Backend
 from ..backends.registry import resolve_backend
 from ..core.canonical import canonical_json
 from ..core.collision import DetectionMode
-from ..core.radar import generate_radar_frame
-from ..core.setup import setup_flight
 from ..core.sweepline import resolve_pruning
 from ..core.trace import (
     DEFAULT_TRACE_BUDGET,
@@ -46,8 +44,8 @@ from ..core.types import TaskTiming
 from ..analysis.deadlines import record_cell_metrics
 from ..obs import count as obs_count
 from ..obs import span as obs_span
-from ..obs.metrics import metric_inc
-from .parallel import _emit_shard, current_options, measure_cells
+from ..obs.metrics import metric_inc, metric_set
+from .parallel import _commit_cell, _probe_stores, current_options, measure_cells
 
 __all__ = [
     "DEFAULT_NS_ALL_PLATFORMS",
@@ -191,7 +189,6 @@ def _obtain_trace(
     traces: Any,
     pruning: Any = "off",
     budget: Any = None,
-    detect_chunk_bytes: Optional[int] = None,
 ) -> FunctionalTrace:
     """The cell's trace from memo, store, or a fresh functional pass."""
     trace = _lookup_trace(
@@ -206,18 +203,76 @@ def _obtain_trace(
     if trace is not None:
         return trace
     with obs_span("harness.trace", cat="harness", n_aircraft=n, source="compute"):
-        trace = compute_trace(
-            n,
-            seed=seed,
-            periods=periods,
-            mode=mode,
-            pruning=pruning,
-            detect_chunk_bytes=detect_chunk_bytes,
-        )
+        trace = compute_trace(n, seed=seed, periods=periods, mode=mode, pruning=pruning)
     obs_count("harness.trace.computed")
     metric_inc("atm_trace_requests", source="compute")
     _remember_trace(trace, traces, budget=budget)
     return trace
+
+
+def _private_pass(
+    n: int, *, seed: int, periods: int, mode: Any, pruning: Any
+) -> Iterator[Any]:
+    """A functional pass of the cell's own, one record at a time.
+
+    The caller replays each record and drops it, so at most one period
+    of trace plus the live fleet is resident — the records are the ones
+    :func:`~repro.core.trace.compute_trace` would have materialized.
+    """
+    peak = 0
+    with obs_span("harness.trace", cat="harness", n_aircraft=n, source="stream"):
+        for record in stream_trace(
+            n, seed=seed, periods=periods, mode=mode, pruning=pruning
+        ):
+            if isinstance(record, CollisionRecord):
+                peak = max(peak, collision_nbytes(record))
+            else:
+                peak = max(peak, period_nbytes(record))
+            yield record
+    obs_count("harness.trace.streamed")
+    metric_inc("atm_trace_requests", source="stream")
+    metric_set("atm_trace_peak_bytes", float(peak), path="streamed")
+
+
+def _cell_records(
+    n: int, *, seed: int, periods: int, mode: Any, trace: Any, pruning: Any
+) -> Iterable[Any]:
+    """The functional records one cell's cost replay consumes, in order:
+    ``periods`` :class:`~repro.core.trace.TracePeriod` records, then the
+    :class:`~repro.core.trace.CollisionRecord`.
+
+    A given :class:`~repro.core.trace.FunctionalTrace` is replayed as
+    is.  Under the ambient trace policy the cell shares one trace per
+    fleet size (memo, then ``TraceStore``, then ``compute_trace``).
+    ``trace=False``, a policy that is off, or a trace too large for the
+    resident budget gets a private streamed pass instead.
+    """
+    if trace is None:
+        opts = current_options()
+        budget = opts.trace_budget or DEFAULT_TRACE_BUDGET
+        if opts.trace and budget.allows_resident(estimate_trace_bytes(n, periods)):
+            trace = _obtain_trace(
+                n,
+                seed=seed,
+                periods=periods,
+                mode=mode,
+                traces=opts.traces,
+                pruning=pruning,
+                budget=budget,
+            )
+    elif trace is not False:
+        if not isinstance(trace, FunctionalTrace):
+            raise TypeError(f"trace must be a FunctionalTrace, got {type(trace)!r}")
+        if not trace.matches(n=n, seed=seed, periods=periods, mode=mode):
+            raise ValueError(
+                "trace does not cover the requested measurement cell "
+                f"(trace: n={trace.n_aircraft} seed={trace.seed} "
+                f"periods={trace.periods} mode={trace.mode}; requested: "
+                f"n={n} seed={seed} periods={periods} mode={mode})"
+            )
+    if isinstance(trace, FunctionalTrace):
+        return [*trace.period_records, trace.collision]
+    return _private_pass(n, seed=seed, periods=periods, mode=mode, pruning=pruning)
 
 
 def measure_platform(
@@ -236,7 +291,9 @@ def measure_platform(
 
     The fleet flies and is tracked for ``periods`` half-seconds first, so
     the collision pass sees a realistically-evolved state rather than the
-    pristine initial layout.
+    pristine initial layout.  Every cell is measured one way: the
+    functional records of that run (see :func:`_cell_records`) are
+    charged to the backend's cost ledgers in one replay loop.
 
     ``cache`` is a :class:`~repro.harness.cache.ResultCache` to memoize
     through, ``None`` to use the ambient
@@ -247,15 +304,15 @@ def measure_platform(
     a stateful instance — the MIMD model mid-experiment — is never
     served from or written to the cache.
 
-    ``trace`` selects how the functional results are produced: ``None``
+    ``trace`` selects where the functional records come from: ``None``
     follows the ambient :func:`~repro.harness.parallel.sweep_options`
-    policy (on by default — the simulation runs once per cell and every
-    backend replays its cost ledger from the shared
-    :class:`~repro.core.trace.FunctionalTrace`), ``False`` forces direct
-    re-execution, and a :class:`~repro.core.trace.FunctionalTrace`
-    instance is replayed as-is (it must match the task parameters).  Both
-    paths return byte-identical measurements — the equivalence tests
-    assert exactly that.
+    policy (on by default — one shared
+    :class:`~repro.core.trace.FunctionalTrace` per fleet size, replayed
+    by every backend), ``False`` runs a private functional pass for this
+    cell alone, and a :class:`~repro.core.trace.FunctionalTrace`
+    instance is replayed as-is (it must match the task parameters).  All
+    three return byte-identical measurements — the equivalence tests
+    compare them with the backend's direct task calls.
 
     ``journal`` is a :class:`~repro.harness.faults.SweepJournal` to
     checkpoint the cell in (and, when resuming, to serve it from),
@@ -268,9 +325,8 @@ def measure_platform(
     ambient one.  Functional results are bit-identical either way; the
     *effective* setting at this ``n`` participates in the cache key.
     When the cell's trace would exceed the ambient
-    :class:`~repro.core.trace.TraceBudget`'s resident bound, the replay
-    consumes the record stream one period at a time instead of
-    materializing the trace (same bytes out, bounded memory).
+    :class:`~repro.core.trace.TraceBudget`'s resident bound, the private
+    pass replaces the shared trace (same bytes out, bounded memory).
     """
     if periods < 1:
         raise ValueError("need at least one tracking period")
@@ -279,116 +335,29 @@ def measure_platform(
     pruning_policy = opts.pruning if pruning is None else str(
         getattr(pruning, "value", pruning)
     )
-    effective_pruning = "on" if resolve_pruning(pruning_policy, n) else "off"
-    budget = opts.trace_budget or DEFAULT_TRACE_BUDGET
     resolved_journal = opts.journal if journal is None else (
         None if journal is False else journal
     )
     spec = backend
     backend = resolve_backend(spec)
-    key = None
-    if (resolved_cache is not None or resolved_journal is not None) and (
-        isinstance(spec, str) or backend.deterministic_timing
+    # A hit elides the measurement and with it the task spans, so the
+    # probe emits a shard span that keeps warm traces fully attributed.
+    key, stored = _probe_stores(
+        spec, backend, n, seed=seed, periods=periods, mode=mode,
+        pruning=pruning_policy, jobs=opts.jobs, cache=resolved_cache,
+        journal=resolved_journal,
+    )
+    if stored is not None:
+        return stored
+    task1: List[float] = []
+    t23 = None
+    for record in _cell_records(
+        n, seed=seed, periods=periods, mode=mode, trace=trace, pruning=pruning_policy
     ):
-        from .cache import ResultCache
-
-        key = ResultCache.key_for(
-            backend,
-            n=n,
-            seed=seed,
-            periods=periods,
-            mode=mode,
-            pruning=effective_pruning,
-        )
-        if resolved_cache is not None:
-            hit = resolved_cache.get(key)
-            if hit is not None:
-                # A hit elides the measurement and with it the task spans, so
-                # a shard span keeps warm traces fully attributed; misses need
-                # nothing extra — the measurement below emits task1/task23.
-                _emit_shard(backend.name, n, "cache", opts.jobs, hit)
-                if resolved_journal is not None:
-                    resolved_journal.record(key, hit)
-                return hit
-        if resolved_journal is not None:
-            checkpointed = resolved_journal.lookup(key)
-            if checkpointed is not None:
-                _emit_shard(backend.name, n, "journal", opts.jobs, checkpointed)
-                if resolved_cache is not None:
-                    resolved_cache.put(key, checkpointed)
-                return checkpointed
-    trace_obj: Optional[FunctionalTrace] = None
-    streamed = False
-    if trace is None:
-        if opts.trace and backend.supports_trace_replay:
-            if not budget.allows_resident(estimate_trace_bytes(n, periods)):
-                streamed = True
-            else:
-                trace_obj = _obtain_trace(
-                    n,
-                    seed=seed,
-                    periods=periods,
-                    mode=mode,
-                    traces=opts.traces,
-                    pruning=pruning_policy,
-                    budget=budget,
-                    detect_chunk_bytes=opts.detect_chunk_bytes,
-                )
-    elif trace is not False:
-        if not isinstance(trace, FunctionalTrace):
-            raise TypeError(f"trace must be a FunctionalTrace, got {type(trace)!r}")
-        if not trace.matches(n=n, seed=seed, periods=periods, mode=mode):
-            raise ValueError(
-                "trace does not cover the requested measurement cell "
-                f"(trace: n={trace.n_aircraft} seed={trace.seed} "
-                f"periods={trace.periods} mode={trace.mode}; requested: "
-                f"n={n} seed={seed} periods={periods} mode={mode})"
-            )
-        if backend.supports_trace_replay:
-            trace_obj = trace
-    if streamed:
-        # Bounded-memory replay: the trace would blow the resident
-        # budget, so consume the functional record stream one period at
-        # a time and discard each record after its cost replay.  Same
-        # bytes out as the materialized path — records are identical.
-        task1 = []
-        t23 = None
-        peak = 0
-        with obs_span(
-            "harness.trace", cat="harness", n_aircraft=n, source="stream"
-        ):
-            for record in stream_trace(
-                n,
-                seed=seed,
-                periods=periods,
-                mode=mode,
-                pruning=pruning_policy,
-                detect_chunk_bytes=opts.detect_chunk_bytes,
-            ):
-                if isinstance(record, CollisionRecord):
-                    peak = max(peak, collision_nbytes(record))
-                    t23 = backend.collision_timing_from_trace(record)
-                else:
-                    peak = max(peak, period_nbytes(record))
-                    task1.append(backend.track_timing_from_trace(record).seconds)
-        obs_count("harness.trace.streamed")
-        metric_inc("atm_trace_requests", source="stream")
-        from ..obs.metrics import metric_set
-
-        metric_set("atm_trace_peak_bytes", float(peak), path="streamed")
-    elif trace_obj is not None:
-        task1 = [
-            backend.track_timing_from_trace(p).seconds
-            for p in trace_obj.period_records
-        ]
-        t23 = backend.collision_timing_from_trace(trace_obj.collision)
-    else:
-        fleet = setup_flight(n, seed)
-        task1 = []
-        for period in range(periods):
-            frame = generate_radar_frame(fleet, seed, period)
-            task1.append(backend.track_and_correlate(fleet, frame).seconds)
-        t23 = backend.detect_and_resolve(fleet, mode=mode)
+        if isinstance(record, CollisionRecord):
+            t23 = backend.collision_timing_from_trace(record)
+        else:
+            task1.append(backend.track_timing_from_trace(record).seconds)
     measurement = PlatformMeasurement(
         platform=backend.name,
         n_aircraft=n,
@@ -399,10 +368,7 @@ def measure_platform(
     # cells served from cache/journal/pool record via _emit_shard, so
     # each returned measurement is recorded exactly once per process.
     record_cell_metrics(backend.name, n, task1, t23.seconds)
-    if key is not None and resolved_cache is not None:
-        resolved_cache.put(key, measurement)
-    if key is not None and resolved_journal is not None:
-        resolved_journal.record(key, measurement)
+    _commit_cell(key, measurement, resolved_cache, resolved_journal)
     return measurement
 
 
@@ -470,9 +436,9 @@ def sweep(
     :func:`~repro.harness.parallel.sweep_options`; pass ``jobs>1`` to
     shard cells across worker processes, a
     :class:`~repro.harness.cache.ResultCache` (or ``False``) to
-    override the ambient cache, ``trace=False`` to force direct
-    functional re-execution per backend, and ``pruning`` to set the
-    candidate-pruning policy ("auto"/"on"/"off"; outputs are
+    override the ambient cache, ``trace=False`` to give every cell a
+    private functional pass instead of a shared trace, and ``pruning``
+    to set the candidate-pruning policy ("auto"/"on"/"off"; outputs are
     bit-identical either way).  The result is merged by matrix
     position, so its :meth:`SweepData.to_canonical_json` bytes do not
     depend on the worker count, the trace engine, or scheduling order.

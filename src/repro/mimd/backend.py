@@ -39,7 +39,6 @@ class MimdBackend(Backend):
     """A shared-memory multi-core machine running the ATM tasks."""
 
     deterministic_timing = False
-    supports_trace_replay = True
 
     def __init__(
         self,

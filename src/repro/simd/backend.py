@@ -24,7 +24,6 @@ class SimdBackend(Backend):
     """A traditional synchronous SIMD machine (paper Section 2.1)."""
 
     deterministic_timing = True
-    supports_trace_replay = True
 
     def __init__(self, config: Union[str, SimdConfig] = CSX600) -> None:
         if isinstance(config, str):

@@ -28,7 +28,6 @@ class VectorBackend(Backend):
     """
 
     deterministic_timing = True
-    supports_trace_replay = True
 
     def __init__(self, config: Union[str, VectorConfig] = XEON_PHI_7250) -> None:
         if isinstance(config, str):

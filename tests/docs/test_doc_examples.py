@@ -98,3 +98,42 @@ def test_documented_span_names_exist():
     } | {"cuda.kernel.SetupFlight", "cuda.transfer.drone_struct"}
     missing = cited - uncheckable - emitted
     assert not missing, f"docs cite spans nothing emits: {sorted(missing)}"
+
+
+#: documents a reader takes claims about the repository from.
+CLAIMING_DOCS = (
+    "README.md",
+    "EXPERIMENTS.md",
+    "DESIGN.md",
+    *sorted(f"docs/{p.name}" for p in (REPO_ROOT / "docs").glob("*.md")),
+)
+
+_BENCH_FILE_RE = re.compile(r"\bBENCH_\w+\.json\b")
+
+
+def committed_bench_claims(text: str):
+    """``BENCH_*.json`` names in sentences that call something committed."""
+    prose = " ".join(text.split())
+    for sentence in re.split(r"(?<=[.!?])\s+", prose):
+        if re.search(r"\bcommitted\b", sentence, re.IGNORECASE):
+            yield from _BENCH_FILE_RE.findall(sentence)
+
+
+def test_committed_bench_claims_finds_the_named_file():
+    text = "See the\ncommitted `BENCH_x.json`.  `make y` writes `BENCH_y.json`."
+    assert list(committed_bench_claims(text)) == ["BENCH_x.json"]
+
+
+@pytest.mark.docs
+@pytest.mark.parametrize("relpath", CLAIMING_DOCS)
+def test_bench_records_called_committed_exist(relpath):
+    """A doc may call a ``BENCH_*.json`` record committed only if it is."""
+    text = (REPO_ROOT / relpath).read_text(encoding="utf-8")
+    missing = sorted(
+        name
+        for name in set(committed_bench_claims(text))
+        if not (REPO_ROOT / name).is_file()
+    )
+    assert not missing, (
+        f"{relpath} calls {missing} committed, but no such file exists"
+    )

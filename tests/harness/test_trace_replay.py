@@ -4,7 +4,10 @@ The contract under test (docs/performance.md): splitting a measurement
 cell into one functional pass plus per-backend cost replays is an
 *execution* detail — it may never change a byte of the produced data,
 whether the trace comes from the in-process memo, the on-disk
-:class:`~repro.harness.cache.TraceStore`, or a worker pool.
+:class:`~repro.harness.cache.TraceStore`, a worker pool, or a private
+pass of the cell's own.  The oracle is a hand-written direct run — the
+backend's own task calls, as the schedules make them — so this suite
+is what ties the schedules to the sweeps.
 """
 
 import json
@@ -12,11 +15,19 @@ import os
 
 import pytest
 
+from repro.backends.registry import resolve_backend
 from repro.core.collision import DetectionMode
+from repro.core.radar import generate_radar_frame
+from repro.core.setup import setup_flight
 from repro.core.trace import FunctionalTrace, compute_trace
 from repro.harness.cache import TraceStore
 from repro.harness.parallel import sweep_options
-from repro.harness.sweep import _TRACE_MEMO, measure_platform, sweep
+from repro.harness.sweep import (
+    _TRACE_MEMO,
+    PlatformMeasurement,
+    measure_platform,
+    sweep,
+)
 from repro.obs import collecting
 
 JOBS = int(os.environ.get("ATM_REPRO_TEST_JOBS", "4"))
@@ -45,6 +56,21 @@ def canon(measurement) -> str:
     return json.dumps(measurement.to_dict(), sort_keys=True)
 
 
+def direct_run(platform, n, *, seed, periods, mode) -> PlatformMeasurement:
+    """The cell measured by direct execution, with no harness in between:
+    a fresh backend runs every task on a live fleet."""
+    backend = resolve_backend(platform)
+    fleet = setup_flight(n, seed)
+    task1 = []
+    for period in range(periods):
+        frame = generate_radar_frame(fleet, seed, period)
+        task1.append(backend.track_and_correlate(fleet, frame).seconds)
+    task23 = backend.detect_and_resolve(fleet, mode=mode)
+    return PlatformMeasurement(
+        platform=backend.name, n_aircraft=n, task1_seconds=task1, task23=task23
+    )
+
+
 @pytest.fixture(autouse=True)
 def _fresh_memo():
     _TRACE_MEMO.clear()
@@ -56,19 +82,20 @@ class TestPerBackendEquivalence:
     @pytest.mark.parametrize("backend", REPLAY_BACKENDS)
     @pytest.mark.parametrize("n,seed,mode", CELLS)
     def test_replay_is_byte_identical_to_direct(self, backend, n, seed, mode):
-        direct = measure_platform(
-            backend, n, seed=seed, periods=2, mode=mode, cache=False, trace=False
-        )
+        direct = canon(direct_run(backend, n, seed=seed, periods=2, mode=mode))
         # round-trip the trace through its JSON form on purpose: the
         # pool and the on-disk store both hand backends deserialized
         # payloads, so that is the representation that must be exact.
         trace = FunctionalTrace.from_dict(
             compute_trace(n, seed=seed, periods=2, mode=mode).to_dict()
         )
-        replay = measure_platform(
-            backend, n, seed=seed, periods=2, mode=mode, cache=False, trace=trace
-        )
-        assert canon(replay) == canon(direct)
+        cell = dict(seed=seed, periods=2, mode=mode, cache=False)
+        shared = measure_platform(backend, n, trace=trace, **cell)
+        ambient = measure_platform(backend, n, **cell)
+        private = measure_platform(backend, n, trace=False, **cell)
+        assert canon(shared) == direct
+        assert canon(ambient) == direct
+        assert canon(private) == direct
 
 
 class TestTracePolicy:
@@ -82,9 +109,12 @@ class TestTracePolicy:
         assert col.counters.get("harness.trace.memo_hits") == 1
         assert canon(first) == canon(second)
 
-    def test_trace_false_runs_direct_without_memoizing(self):
-        measure_platform("reference", 96, periods=2, cache=False, trace=False)
+    def test_trace_false_streams_without_memoizing(self):
+        with collecting() as col:
+            measure_platform("reference", 96, periods=2, cache=False, trace=False)
         assert len(_TRACE_MEMO) == 0
+        assert col.counters.get("harness.trace.streamed") == 1
+        assert col.counters.get("harness.trace.computed") is None
 
     def test_mismatched_trace_is_rejected(self):
         trace = compute_trace(96, periods=2)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import asyncio
 import threading
+import time
 
 import pytest
 
@@ -75,8 +76,29 @@ def live_server():
         shutdown()
 
 
+def hold_dispatch_until_inflight(service, count, timeout_s=60.0):
+    """Make the service's batch dispatch wait until ``count`` requests
+    have been in flight at once (or ``timeout_s`` passes).
+
+    Nothing is served before the first dispatch completes, so every
+    connection the generator opens stays in flight until then; holding
+    the dispatch makes the peak independent of how fast the host opens
+    connections within the batch window.
+    """
+    measure_batch = service._measure_batch
+
+    def held(requests):
+        give_up = time.monotonic() + timeout_s
+        while service._inflight_requests_peak < count and time.monotonic() < give_up:
+            time.sleep(0.01)
+        return measure_batch(requests)
+
+    service._measure_batch = held
+
+
 def test_thousand_concurrent_inflight_requests(live_server):
     service, port, _shutdown = live_server()
+    hold_dispatch_until_inflight(service, 1000)
     registry = MetricsRegistry()
     summary = run_loadgen(
         LoadgenOptions(port=port, concurrency=1000, requests=1000),

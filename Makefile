@@ -45,11 +45,14 @@ docs-check:
 bench:
 	$(PYTEST) benchmarks/ --benchmark-only
 
-## CI gate for the trace engine: writes BENCH_trace_engine.json and
-## fails when the replay speedup regresses >25% vs the committed baseline
+## CI gate for the trace engine: writes its record to
+## /tmp/BENCH_trace_engine.json (the committed BENCH_trace_engine.json is
+## regenerated on purpose with `atm-repro bench --out
+## BENCH_trace_engine.json`) and fails when the replay speedup regresses
+## >25% vs the committed baseline
 bench-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.harness.cli bench \
-		--out BENCH_trace_engine.json \
+		--out /tmp/BENCH_trace_engine.json \
 		--baseline benchmarks/baselines/bench_smoke.json
 
 ## the continental-scale record (not kept in the repository):

@@ -9,7 +9,6 @@ from ..core.collision import DetectionMode
 from ..core.resolution import detect_and_resolve as core_detect_and_resolve
 from ..core.tracking import correlate as core_correlate
 from ..core.types import FleetState, RadarFrame, TaskTiming, TimingBreakdown
-from ..obs import count as obs_count
 from ..obs import span as obs_span
 from .primitives import AssociativeArray
 from .staran import STARAN, STARAN_1972, ApConfig
@@ -45,10 +44,6 @@ class ApBackend(Backend):
                 name, cat="ap", count=ap.class_counts[klass], modules=ap.n_modules
             ) as sp:
                 sp.add_modelled(class_s)
-            obs_count(f"{name}.calls", ap.class_counts[klass])
-        obs_count("ap.searches", ap.searches)
-        obs_count("ap.broadcasts", ap.broadcasts)
-        obs_count("ap.extrema", ap.extrema)
         return detail
 
     def _charge_task1(self, task, n: int, stats) -> TaskTiming:

@@ -21,7 +21,6 @@ from ..core.collision import DetectionMode
 from ..core.resolution import detect_and_resolve as core_detect_and_resolve
 from ..core.tracking import correlate as core_correlate
 from ..core.types import FleetState, RadarFrame, TaskTiming, TimingBreakdown
-from ..obs import count as obs_count
 from ..obs import span as obs_span
 from .device import DeviceProperties, get_device
 from .grid import PAPER_BLOCK_SIZE
@@ -69,9 +68,6 @@ class CudaBackend(Backend):
         kt = charge_track_drone(self.device, fleet, frame, stats, self.block_size)
         with obs_span("cuda.kernel.TrackDrone", cat="cuda", **kt.obs_attrs()) as sp:
             sp.add_modelled(kt.seconds)
-        obs_count("cuda.kernel_launches")
-        obs_count("cuda.issue_total", kt.issue_total)
-        obs_count("cuda.bytes_total", kt.bytes_total)
         task.add_modelled(kt.seconds)
         return TaskTiming(
             task="task1",
@@ -106,9 +102,6 @@ class CudaBackend(Backend):
             "cuda.kernel.CheckCollisionPath", cat="cuda", **kt.obs_attrs()
         ) as sp:
             sp.add_modelled(kt.seconds)
-        obs_count("cuda.kernel_launches")
-        obs_count("cuda.issue_total", kt.issue_total)
-        obs_count("cuda.bytes_total", kt.bytes_total)
         if not self.fused_collision_kernel:
             # Split design: Task 2 and Task 3 in separate kernels with
             # the drone struct round-tripped through the host between
@@ -133,7 +126,6 @@ class CudaBackend(Backend):
                 bytes=fleet.n * _DRONE_STRUCT_BYTES,
             ) as sp:
                 sp.add_modelled(extra_transfer + extra_launch)
-            obs_count("cuda.kernel_launches")
         task.add_modelled(seconds)
         return TaskTiming(
             task="task23",

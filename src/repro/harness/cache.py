@@ -27,11 +27,11 @@ Layout (all JSON, human-inspectable)::
 file that fails to parse, fails its digest, or decodes to the wrong
 shape is *never* silently discarded: it is moved to
 ``<root>/quarantine/`` for post-mortem, counted on the store
-(``quarantined``) and on the :mod:`repro.obs` collector
-(``harness.fault.quarantined``), and the read reports a miss so the
-cell recomputes.  A missing file is an ordinary miss; any other
-``OSError`` is counted (``io_errors`` / ``harness.fault.io_errors``)
-and reported as a miss.  See ``docs/robustness.md`` for the fault
+(``quarantined``) and as ``atm_faults{kind="corrupt-entry"}`` beside a
+``harness.fault`` span, and the read reports a miss so the cell
+recomputes.  A missing file is an ordinary miss; any other ``OSError``
+is counted (``io_errors`` / ``atm_faults{kind="io-error"}``) and
+reported as a miss.  See ``docs/robustness.md`` for the fault
 model and ``docs/parallel-and-caching.md`` for the key scheme.
 """
 
@@ -176,13 +176,12 @@ class _ChecksumStore:
         except OSError:
             self.io_errors += 1
             self._count("io_error")
-            fault_span("io-error", "io_errors", path=str(path))
+            fault_span("io-error", path=str(path))
             return
         self.quarantined += 1
         self._count("quarantined")
         fault_span(
             "corrupt-entry",
-            "quarantined",
             store=type(self).__name__,
             path=str(path),
             reason=reason,
@@ -205,7 +204,7 @@ class _ChecksumStore:
         except OSError:
             self.io_errors += 1
             self._count("io_error")
-            fault_span("io-error", "io_errors", path=str(path))
+            fault_span("io-error", path=str(path))
             self.misses += 1
             self._count("miss")
             return None

@@ -99,9 +99,10 @@ cache maintenance:
 
 profiling:
   atm-repro profile <experiment> [--backend NAME] [--n N] [--trace FILE]
-  runs an experiment under the repro.obs collector and prints the span
-  tree: wall-clock vs modelled-time attribution per backend component.
-  See docs/observability.md.
+  runs an experiment under the repro.obs collector and a metrics
+  registry and prints the span tree (wall-clock vs modelled-time
+  attribution per backend component), then the registry's counter and
+  gauge series.  See docs/observability.md.
 
 metrics & dashboard (docs/observability.md):
   atm-repro metrics [--only ID ...] [--out FILE]

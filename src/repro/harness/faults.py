@@ -31,8 +31,8 @@ Because every measurement cell is a pure function of its arguments,
 chaos suite (``tests/harness/test_faults.py``) asserts that a sweep
 run under injected crashes, hangs and corruption stays byte-identical
 to a fault-free serial run.  Every failure path emits a
-``harness.fault`` span plus a ``harness.fault.*`` counter on the
-:mod:`repro.obs` collector.  See ``docs/robustness.md``.
+``harness.fault`` span on the :mod:`repro.obs` collector and counts
+its kind in the ``atm_faults`` metric.  See ``docs/robustness.md``.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Union
 
 from ..core.canonical import fingerprint_of
-from ..obs import count as obs_count
 from ..obs import span as obs_span
 from ..obs.metrics import metric_inc
 
@@ -60,7 +59,6 @@ __all__ = [
     "SweepJournal",
     "decode_journal_line",
     "encode_journal_line",
-    "fault_count",
     "fault_span",
     "parse_fault_spec",
 ]
@@ -94,8 +92,8 @@ SERVICE_FAULT_KINDS = ("reset", "stall", "corrupt-journal")
 WORKER_FAULT_KINDS = ("crash", "timeout", "oserror")
 
 
-def fault_span(kind: str, counter: str, **attrs: Any) -> None:
-    """Emit one ``harness.fault`` span plus its ``harness.fault.*`` counter.
+def fault_span(kind: str, **attrs: Any) -> None:
+    """Emit one ``harness.fault`` span and count it as ``atm_faults{kind}``.
 
     Every failure path in the harness funnels through here, so a single
     ``report --trace`` shows exactly which shard faulted, how, and on
@@ -103,18 +101,7 @@ def fault_span(kind: str, counter: str, **attrs: Any) -> None:
     """
     with obs_span("harness.fault", cat="harness", kind=kind, **attrs):
         pass
-    obs_count(f"harness.fault.{counter}")
     metric_inc("atm_faults", kind=kind)
-
-
-def fault_count(counter: str, *, kind: Optional[str] = None) -> None:
-    """Bump a ``harness.fault.*`` counter and its labeled metric twin.
-
-    For fault bookkeeping that has no span of its own (injections,
-    retries); ``kind`` defaults to the counter name.
-    """
-    obs_count(f"harness.fault.{counter}")
-    metric_inc("atm_faults", kind=kind or counter)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +244,7 @@ class FaultPlan:
         pos = min(pos, len(data) - 1)
         data[pos] ^= 0x01
         path.write_bytes(bytes(data))
-        fault_count("injected", kind="corrupt")
+        metric_inc("atm_faults", kind="corrupt")
 
     # -- serialization --------------------------------------------------
 
@@ -392,7 +379,7 @@ class SweepJournal:
 
     ``resume=False`` (a fresh run) discards any previous journal;
     ``resume=True`` loads it and serves completed cells via
-    :meth:`lookup`, counted on ``harness.fault.resumed_cells``.
+    :meth:`lookup`, counted on ``atm_shards{source="journal"}``.
     """
 
     def __init__(self, path: Union[str, Path], *, resume: bool = False) -> None:
@@ -417,7 +404,7 @@ class SweepJournal:
         except FileNotFoundError:
             return
         except OSError:
-            fault_span("io-error", "io_errors", path=str(self.path))
+            fault_span("io-error", path=str(self.path))
             return
         for line in text.splitlines():
             if not line.strip():
@@ -427,7 +414,7 @@ class SweepJournal:
                 # A torn tail from SIGKILL mid-append, or on-disk rot:
                 # drop the line, keep the rest — and say so.
                 self.dropped_lines += 1
-                fault_span("journal-torn-line", "journal_dropped", path=str(self.path))
+                fault_span("journal-torn-line", path=str(self.path))
                 continue
             self._entries[record["key"]] = record["measurement"]
             self._seen.add(record["key"])

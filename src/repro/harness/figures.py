@@ -841,9 +841,7 @@ def run_experiment(experiment_id: str, **kwargs):
         # harness run shows *which* lookup failed, not just that one did.
         from .faults import fault_span
 
-        fault_span(
-            "unknown-experiment", "unknown_experiment", experiment=experiment_id
-        )
+        fault_span("unknown-experiment", experiment=experiment_id)
         known = ", ".join(sorted(EXPERIMENTS))
         raise KeyError(
             f"unknown experiment {experiment_id!r}; known: {known}"

@@ -37,9 +37,9 @@ Faults can be injected deterministically for tests and chaos runs via
 Every shard emits one ``harness.shard`` span (category ``harness``) on
 the parent's :mod:`repro.obs` collector, carrying the platform, fleet
 size, result source (``cache`` / ``journal`` / ``pool`` / ``inline``)
-and the shard's modelled seconds; every failure emits a
-``harness.fault`` span plus ``harness.fault.*`` counters.  See
-docs/parallel-and-caching.md.
+and the shard's modelled seconds, and counts the source in
+``atm_shards``; every failure emits a ``harness.fault`` span counted in
+``atm_faults``.  See docs/parallel-and-caching.md.
 """
 
 from __future__ import annotations
@@ -56,13 +56,12 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 from ..analysis.deadlines import record_cell_metrics
 from ..core.sweepline import resolve_pruning
 from ..obs import SpanRecord
-from ..obs import count as obs_count
 from ..obs import get_collector as obs_get_collector
 from ..obs import is_active as obs_is_active
 from ..obs import span as obs_span
 from ..obs.metrics import metric_inc
 from .cache import ResultCache, TraceStore
-from .faults import FaultPlan, RetryPolicy, SweepJournal, fault_count, fault_span
+from .faults import FaultPlan, RetryPolicy, SweepJournal, fault_span
 
 __all__ = [
     "SweepOptions",
@@ -230,7 +229,7 @@ def _measure_shard(
     ``oserror`` raises a transient ``OSError``.
 
     ``collect=True`` runs the cell under a private in-worker collector
-    and returns ``{"measurement": ..., "obs": {spans, events, counters}}``
+    and returns ``{"measurement": ..., "obs": {spans, events}}``
     instead of the bare measurement dict, so the parent can adopt the
     worker's task/kernel spans under its shard span
     (:meth:`~repro.obs.Collector.adopt`) and the merged trace looks the
@@ -266,7 +265,6 @@ def _measure_shard(
         "obs": {
             "spans": [s.to_event() for s in c.spans],
             "events": c.events,
-            "counters": dict(c.counters),
         },
     }
 
@@ -308,11 +306,11 @@ def _emit_shard(
     measurement,
     worker_obs: Optional[Dict[str, Any]] = None,
 ) -> None:
-    """One ``harness.shard`` span + counters + SLO metrics per shard.
+    """Per shard: one ``harness.shard`` span, its ``atm_shards`` count, SLO metrics.
 
     ``worker_obs`` is the observability payload a pool worker collected
-    under ``_measure_shard(collect=True)``; its spans/events/counters
-    are adopted under this shard span, so the parent trace carries the
+    under ``_measure_shard(collect=True)``; its spans and events are
+    adopted under this shard span, so the parent trace carries the
     worker's task/kernel subtree exactly as a serial run would.  The
     deadline metrics are labeled only by (platform, n, logical source),
     never by the shard source, so the deterministic snapshot is
@@ -332,18 +330,10 @@ def _emit_shard(
         collector.adopt(
             [SpanRecord.from_event(e) for e in worker_obs["spans"]],
             worker_obs["events"],
-            worker_obs["counters"],
             parent_id=sp.span_id,
             wall_offset_s=sp._t0 - collector.epoch,
         )
-    obs_count("harness.shards")
     metric_inc("atm_shards", source=source)
-    if source == "cache":
-        obs_count("harness.shards_cached")
-    elif source == "journal":
-        obs_count("harness.fault.resumed_cells")
-    else:
-        obs_count("harness.shards_measured")
     # Cells served without running measure_platform in this process
     # (cache / journal / pool) record their deadline metrics here —
     # exactly once per returned cell.  Freshly-computed cells record
@@ -524,16 +514,11 @@ def _pool_trace_payloads(
             try:
                 payload = future.result()
             except (BrokenProcessPool, OSError):
-                fault_span(
-                    "worker-crash", "worker_crashes", stage="trace", n_aircraft=n_val
-                )
+                fault_span("worker-crash", stage="trace", n_aircraft=n_val)
                 broken = True
                 payload = None
         if payload is None:
-            fault_span(
-                "degraded-to-inline", "degraded_to_inline", stage="trace",
-                n_aircraft=n_val,
-            )
+            fault_span("degraded-to-inline", stage="trace", n_aircraft=n_val)
             source = "compute"
             payload = compute_trace(
                 n_val,
@@ -550,7 +535,6 @@ def _pool_trace_payloads(
             jobs=jobs,
         ):
             pass
-        obs_count("harness.trace.computed")
         metric_inc("atm_trace_requests", source=source)
         payload_by_n[n_val] = payload
         _remember_trace(
@@ -611,7 +595,7 @@ def _execute_pool_shards(
             except _PoolGone:
                 for shard in poolable:
                     fault_span(
-                        "degraded-to-inline", "degraded_to_inline",
+                        "degraded-to-inline",
                         platform=names[shard[0]], n_aircraft=ns[shard[1]],
                     )
                 return poolable
@@ -626,7 +610,7 @@ def _execute_pool_shards(
             if plan is not None:
                 kind = plan.worker_fault(_shard_id(names[i], ns[j]), attempts[idx])
                 if kind is not None:
-                    fault_count("injected")
+                    metric_inc("atm_faults", kind="injected")
                     inject = (kind, plan.hang_s)
             return box.pool.submit(
                 _measure_shard,
@@ -651,13 +635,10 @@ def _execute_pool_shards(
                 try:
                     result = futures[idx].result(timeout=retry.timeout_s)
                 except FuturesTimeout:
-                    fault_span(
-                        "timeout", "timeouts", attempt=attempts[idx], **shard_attrs
-                    )
+                    fault_span("timeout", attempt=attempts[idx], **shard_attrs)
                 except BrokenProcessPool:
                     fault_span(
-                        "worker-crash", "worker_crashes",
-                        attempt=attempts[idx], **shard_attrs,
+                        "worker-crash", attempt=attempts[idx], **shard_attrs
                     )
                     if not box.rebuild():
                         # The pool keeps dying: run everything still
@@ -665,7 +646,7 @@ def _execute_pool_shards(
                         remaining = poolable[idx:]
                         for shard in remaining:
                             fault_span(
-                                "degraded-to-inline", "degraded_to_inline",
+                                "degraded-to-inline",
                                 platform=names[shard[0]],
                                 n_aircraft=ns[shard[1]],
                             )
@@ -674,14 +655,14 @@ def _execute_pool_shards(
                     # Fresh pool: resubmit every uncollected shard (their
                     # futures died with the old pool).
                     attempts[idx] += 1
-                    fault_count("retries")
+                    metric_inc("atm_faults", kind="retries")
                     time.sleep(retry.backoff_for(attempts[idx] - 1))
                     for k in range(idx, len(poolable)):
                         futures[k] = submit(k)
                     continue
                 except OSError as exc:
                     fault_span(
-                        "os-error", "oserrors",
+                        "os-error",
                         attempt=attempts[idx], error=str(exc), **shard_attrs,
                     )
                 else:
@@ -689,12 +670,10 @@ def _execute_pool_shards(
                 # timeout or transient OSError: retry this shard alone.
                 attempts[idx] += 1
                 if attempts[idx] >= retry.max_attempts:
-                    fault_span(
-                        "degraded-to-inline", "degraded_to_inline", **shard_attrs
-                    )
+                    fault_span("degraded-to-inline", **shard_attrs)
                     degraded.append(poolable[idx])
                     break
-                fault_count("retries")
+                metric_inc("atm_faults", kind="retries")
                 time.sleep(retry.backoff_for(attempts[idx] - 1))
                 futures[idx] = submit(idx)
             if result is None:
@@ -789,7 +768,7 @@ def measure_cells(
                 # "crash" here would kill the parent itself, and hangs
                 # cannot be preempted in-process.
                 if plan is not None and plan.should_inject("oserror", sid, attempt):
-                    fault_count("injected")
+                    metric_inc("atm_faults", kind="injected")
                     raise OSError("injected transient fault")
                 with obs_span(
                     "harness.shard",
@@ -807,18 +786,16 @@ def measure_cells(
                 break
             except OSError as exc:
                 fault_span(
-                    "os-error", "oserrors",
+                    "os-error",
                     platform=names[i], n_aircraft=ns[j],
                     attempt=attempt, error=str(exc),
                 )
                 attempt += 1
                 if attempt >= retry.max_attempts:
                     raise
-                fault_count("retries")
+                metric_inc("atm_faults", kind="retries")
                 time.sleep(retry.backoff_for(attempt - 1))
-        obs_count("harness.shards")
         metric_inc("atm_shards", source="inline")
-        obs_count("harness.shards_measured")
         rows[i][j] = m
         _commit_cell(key, m, cache, journal)
 

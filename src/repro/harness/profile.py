@@ -13,10 +13,12 @@ so the span tree shows one machine's cost structure at one fleet size.
 Without ``--backend`` it runs the whole experiment function under the
 collector — every platform the figure sweeps.
 
-The result renders as an indented span tree (docs/observability.md
-explains how to read it) and can be exported with ``--trace`` (Chrome
-trace JSON, load in ``chrome://tracing`` / Perfetto) or ``--jsonl``
-(one JSON object per span).
+The run also records into a metrics registry.  The result renders as an
+indented span tree (docs/observability.md explains how to read it)
+followed by the registry's counter and gauge series; the trace can be
+exported with ``--trace`` (Chrome trace JSON, load in
+``chrome://tracing`` / Perfetto) or ``--jsonl`` (one JSON object per
+span or event).
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from ..obs import (
     render_counters,
     render_span_tree,
 )
+from ..obs.metrics import MetricsRegistry, recording
 from .figures import EXPERIMENTS
 from .report import QUICK_OVERRIDES
 from .sweep import measure_platform
@@ -43,13 +46,15 @@ __all__ = ["ProfileResult", "profile_experiment"]
 
 @dataclass
 class ProfileResult:
-    """A profiling run: the collector plus enough context to render it."""
+    """A profiling run: the collector and registry plus enough context to
+    render them."""
 
     experiment: str
     backend: Optional[str]
     n_aircraft: Optional[int]
     wall_s: float
     collector: Collector
+    registry: MetricsRegistry
 
     @property
     def coverage(self) -> float:
@@ -70,10 +75,9 @@ class ProfileResult:
             " child spans",
             "",
             render_span_tree(c),
+            "",
+            render_counters(self.registry.snapshot()),
         ]
-        counters = render_counters(c)
-        if counters:
-            lines += ["", counters]
         return "\n".join(lines)
 
     def to_chrome_trace(self) -> dict:
@@ -92,7 +96,8 @@ def profile_experiment(
     seed: int = 2018,
     quick: bool = True,
 ) -> ProfileResult:
-    """Run ``experiment`` under a fresh collector and return the profile.
+    """Run ``experiment`` under a fresh collector and registry; return the
+    profile.
 
     Parameters
     ----------
@@ -112,7 +117,7 @@ def profile_experiment(
         raise KeyError(f"unknown experiment {experiment!r}; known: {known}")
 
     t0 = time.perf_counter()
-    with collecting() as collector:
+    with collecting() as collector, recording() as registry:
         if backend is not None:
             measure_platform(backend, n, seed=seed, periods=periods)
         else:
@@ -126,4 +131,5 @@ def profile_experiment(
         n_aircraft=n if backend is not None else None,
         wall_s=wall,
         collector=collector,
+        registry=registry,
     )

@@ -42,7 +42,6 @@ from ..core.trace import (
 )
 from ..core.types import TaskTiming
 from ..analysis.deadlines import record_cell_metrics
-from ..obs import count as obs_count
 from ..obs import span as obs_span
 from ..obs.metrics import metric_inc, metric_set
 from .parallel import _commit_cell, _probe_stores, current_options, measure_cells
@@ -154,10 +153,10 @@ def _lookup_trace(
 ) -> Optional[FunctionalTrace]:
     """Memo-then-store lookup of one cell's trace; None when absent.
 
-    Hits emit a ``harness.trace`` span (source ``memo``/``store``) plus a
-    counter; misses emit nothing — whoever computes the trace owns the
-    ``compute``/``pool`` span.  ``pruning`` may be a policy ("auto") —
-    it is resolved at ``n`` before keying.
+    Hits emit a ``harness.trace`` span (source ``memo``/``store``) and
+    count it in ``atm_trace_requests``; misses emit nothing — whoever
+    computes the trace owns the ``compute``/``pool`` span.  ``pruning``
+    may be a policy ("auto") — it is resolved at ``n`` before keying.
     """
     effective = "on" if resolve_pruning(pruning, n) else "off"
     key = trace_key(n=n, seed=seed, periods=periods, mode=mode, pruning=effective)
@@ -175,7 +174,6 @@ def _lookup_trace(
         return None
     with obs_span("harness.trace", cat="harness", n_aircraft=n, source=source):
         pass
-    obs_count(f"harness.trace.{source}_hits")
     metric_inc("atm_trace_requests", source=source)
     return trace
 
@@ -204,7 +202,6 @@ def _obtain_trace(
         return trace
     with obs_span("harness.trace", cat="harness", n_aircraft=n, source="compute"):
         trace = compute_trace(n, seed=seed, periods=periods, mode=mode, pruning=pruning)
-    obs_count("harness.trace.computed")
     metric_inc("atm_trace_requests", source="compute")
     _remember_trace(trace, traces, budget=budget)
     return trace
@@ -229,7 +226,6 @@ def _private_pass(
             else:
                 peak = max(peak, period_nbytes(record))
             yield record
-    obs_count("harness.trace.streamed")
     metric_inc("atm_trace_requests", source="stream")
     metric_set("atm_trace_peak_bytes", float(peak), path="streamed")
 

@@ -24,7 +24,6 @@ from ..core.collision import DetectionMode
 from ..core.resolution import detect_and_resolve as core_detect_and_resolve
 from ..core.tracking import correlate as core_correlate
 from ..core.types import FleetState, RadarFrame, TaskTiming, TimingBreakdown
-from ..obs import count as obs_count
 from ..obs import span as obs_span
 from .events import QueueRunResult, simulate_work_queue
 from .tasks import task1_chunks, task23_chunks
@@ -107,9 +106,6 @@ class MimdBackend(Backend):
             core_finish_s=list(run.core_finish_s),
         ) as sp:
             sp.add_modelled(sync)
-        obs_count("mimd.chunks", run.n_chunks)
-        obs_count("mimd.sync_wait_s", run.sync_wait_s)
-        obs_count("mimd.queue_wait_s", run.queue_wait_s)
 
     def _charge_task1(self, task, n: int, stats) -> TaskTiming:
         """One work-queue simulation of Task 1.

@@ -6,11 +6,11 @@ A lightweight tracing + metrics layer threaded through every backend
 * :func:`span` — context-manager spans recording *wall* time (what the
   simulator spent) and *modelled* time (architecture seconds the cost
   model attributed), nested into a tree;
-* :func:`count` / :func:`event` — monotonic counters and instant events
-  (per-instruction-class counts, sync-wait totals, ...);
-* :class:`Collector` — the process-global sink, activated with
-  :func:`collecting`; when none is active every helper is a no-op whose
-  cost is one global read (the benchmarks run in this mode);
+* :func:`event` — instant events (deadline misses, ...);
+* :class:`Collector` — the process-global sink of spans and events,
+  activated with :func:`collecting`; when none is active every helper
+  is a no-op whose cost is one global read (the benchmarks run in this
+  mode);
 * :mod:`repro.obs.metrics` — the labeled **metrics registry**
   (counters, gauges, exact-bucket histograms) behind the deadline SLO
   monitor, with OpenMetrics export (``atm-repro metrics``,
@@ -20,8 +20,8 @@ A lightweight tracing + metrics layer threaded through every backend
 * :mod:`repro.obs.dashboard` — the self-contained single-file HTML
   dashboard (``atm-repro dashboard``);
 * :mod:`repro.obs.export` — Chrome-trace-format and JSON-lines dumps;
-* :mod:`repro.obs.summary` — span-tree rendering and modelled-time
-  coverage.
+* :mod:`repro.obs.summary` — span-tree rendering, modelled-time
+  coverage and the registry's counter table.
 
 Surface commands: ``atm-repro profile <experiment>``, ``atm-repro
 metrics``, ``atm-repro dashboard`` and ``atm-repro report --trace
@@ -36,7 +36,6 @@ from .collector import (
     SpanRecord,
     activate,
     collecting,
-    count,
     deactivate,
     event,
     get_collector,
@@ -82,7 +81,6 @@ __all__ = [
     "is_active",
     "collecting",
     "span",
-    "count",
     "event",
     "chrome_trace",
     "json_lines",

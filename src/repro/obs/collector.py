@@ -1,10 +1,10 @@
 """The process-global trace collector and its zero-overhead no-op mode.
 
 Instrumented code throughout the library calls the module-level helpers
-(:func:`span`, :func:`count`, :func:`event`) unconditionally.  When no
-collector is active — the default — each helper is a single global read
-followed by an early return (``span`` hands back a shared no-op context
-manager), so the instrumented hot paths cost nothing measurable; the
+(:func:`span`, :func:`event`) unconditionally.  When no collector is
+active — the default — each helper is a single global read followed by
+an early return (``span`` hands back a shared no-op context manager),
+so the instrumented hot paths cost nothing measurable; the
 ``benchmarks/`` suite runs in this mode.
 
 When a :class:`Collector` is activated (usually via the
@@ -19,6 +19,10 @@ When a :class:`Collector` is activated (usually via the
 Keeping both is the point: the paper's claims are about modelled time,
 while the ROADMAP's "fast as the hardware allows" goal is about wall
 time, and a profile must show where each one goes.
+
+The collector keeps spans and events only.  Counts live in the labeled
+:mod:`repro.obs.metrics` registry; a count that a trace also needs is
+a span (one per occurrence) or a span attribute.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ __all__ = [
     "is_active",
     "collecting",
     "span",
-    "count",
     "event",
 ]
 
@@ -179,14 +182,13 @@ NULL_SPAN = _NullSpan()
 
 
 class Collector:
-    """Accumulates spans, instant events and monotonic counters."""
+    """Accumulates spans and instant events."""
 
     def __init__(self, clock=time.perf_counter) -> None:
         self._clock = clock
         self.epoch = clock()
         self.spans: List[SpanRecord] = []
         self.events: List[Dict[str, Any]] = []
-        self.counters: Dict[str, float] = {}
         self._stack: List[int] = []
         self._next_id = 0
 
@@ -197,10 +199,6 @@ class Collector:
     def span(self, name: str, cat: str = "", **attrs: Any) -> Span:
         """Open a new span (context manager); nests under the current one."""
         return Span(self, name, cat, attrs)
-
-    def count(self, name: str, value: float = 1.0) -> None:
-        """Increment the monotonic counter ``name`` by ``value``."""
-        self.counters[name] = self.counters.get(name, 0.0) + value
 
     def event(self, name: str, cat: str = "", **attrs: Any) -> None:
         """Record an instant event at the current wall time."""
@@ -216,33 +214,31 @@ class Collector:
         )
 
     def clear(self) -> None:
-        """Drop all recorded data (counters included)."""
+        """Drop all recorded data."""
         self.spans.clear()
         self.events.clear()
-        self.counters.clear()
         self._stack.clear()
         self._next_id = 0
 
     # ------------------------------------------------------------------
-    # composition: folding other collectors (pool shards) into this one
+    # composition: grafting pool-worker traces into this one
     # ------------------------------------------------------------------
 
     def adopt(
         self,
         spans: List[SpanRecord],
         events: Optional[List[Dict[str, Any]]] = None,
-        counters: Optional[Dict[str, float]] = None,
         *,
         parent_id: Optional[int] = None,
         wall_offset_s: float = 0.0,
     ) -> Dict[int, int]:
-        """Graft foreign spans/events/counters into this collector.
+        """Graft foreign spans and events into this collector.
 
         Span ids are remapped onto this collector's id space; spans whose
         parent is not among the adopted set (the foreign roots) are
         re-parented under ``parent_id``.  ``wall_offset_s`` shifts the
         foreign wall timeline (collectors from other processes have their
-        own epoch).  Counters are summed.  Returns the old->new id map.
+        own epoch).  Returns the old->new id map.
         """
         id_map: Dict[int, int] = {}
         for s in spans:
@@ -278,45 +274,7 @@ class Collector:
                     else parent_id,
                 }
             )
-        for name, value in (counters or {}).items():
-            self.count(name, value)
         return id_map
-
-    def merge(self, other: "Collector", *, root_name: str = "merge") -> int:
-        """Fold ``other`` into this collector under one synthetic root span.
-
-        The root (category ``merge``) nests under the currently-open
-        span, carries the other collector's total wall seconds, and
-        becomes the parent of the other's root spans, so a shard-local
-        collector from a pool worker lands as one subtree instead of
-        being dropped.  Counters are summed.  Returns the root span id.
-        """
-        root_id = self._next_id
-        self._next_id += 1
-        now = self._clock() - self.epoch
-        wall_end = max(
-            (s.wall_start_s + s.wall_dur_s for s in other.spans), default=0.0
-        )
-        self.spans.append(
-            SpanRecord(
-                span_id=root_id,
-                parent_id=self._stack[-1] if self._stack else None,
-                name=root_name,
-                cat="merge",
-                wall_start_s=now,
-                wall_dur_s=wall_end,
-                modelled_s=0.0,
-                attrs={"spans": len(other.spans)},
-            )
-        )
-        self.adopt(
-            other.spans,
-            other.events,
-            other.counters,
-            parent_id=root_id,
-            wall_offset_s=now,
-        )
-        return root_id
 
     # ------------------------------------------------------------------
     # queries
@@ -401,13 +359,6 @@ def span(name: str, cat: str = "", **attrs: Any):
     if c is None:
         return NULL_SPAN
     return c.span(name, cat, **attrs)
-
-
-def count(name: str, value: float = 1.0) -> None:
-    """Increment a counter on the active collector (no-op when disabled)."""
-    c = _ACTIVE
-    if c is not None:
-        c.count(name, value)
 
 
 def event(name: str, cat: str = "", **attrs: Any) -> None:

@@ -16,8 +16,7 @@ SVG generated directly from the structured data:
   dips below the zero line is the paper's §6.2 verdict, visible;
 * a **span flamegraph** of the trace collector (modelled seconds wide,
   call-stack deep), when a collector is given;
-* **counter panels** for every counter/gauge family in the snapshot and
-  the collector's flat counters.
+* **counter panels** for every counter/gauge family in the snapshot.
 
 Everything degrades gracefully: a report without sweeps still renders
 its tables, a snapshot without misses still draws the margin chart, no
@@ -486,10 +485,7 @@ def _search_panel(search: Mapping[str, Any]) -> str:
     )
 
 
-def _counter_panels(
-    snapshot: Mapping[str, Any], collector: Optional[Collector]
-) -> str:
-    out: List[str] = []
+def _counter_panels(snapshot: Mapping[str, Any]) -> str:
     tables: List[str] = []
     for name, family in sorted(snapshot.get("families", {}).items()):
         if family.get("kind") not in ("counter", "gauge"):
@@ -515,27 +511,11 @@ def _counter_panels(
             + "".join(rows)
             + "</table>"
         )
-    if tables:
-        out.append(
-            '<div class="panel"><h2>Metric counters</h2>'
-            + "".join(tables)
-            + "</div>"
-        )
-    if collector is not None and collector.counters:
-        rows = []
-        for cname in sorted(collector.counters):
-            value = float(collector.counters[cname])
-            shown = int(value) if value.is_integer() else value
-            rows.append(
-                f'<tr><td class="l">{_esc(cname)}</td><td>{shown}</td></tr>'
-            )
-        out.append(
-            '<div class="panel"><h2>Trace counters</h2>'
-            '<table><tr><th class="l">counter</th><th>value</th></tr>'
-            + "".join(rows)
-            + "</table></div>"
-        )
-    return "".join(out)
+    if not tables:
+        return ""
+    return (
+        '<div class="panel"><h2>Metric counters</h2>' + "".join(tables) + "</div>"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -553,9 +533,9 @@ def render_dashboard(
 
     ``snapshot`` defaults to the report's embedded deterministic metrics;
     pass a full :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` for
-    the operational families too.  ``collector`` adds the flamegraph and
-    the flat trace counters.  ``search`` is an ``atm-repro search``
-    result document to chart as a best-fitness trajectory panel.
+    the operational families too.  ``collector`` adds the flamegraph.
+    ``search`` is an ``atm-repro search`` result document to chart as a
+    best-fitness trajectory panel.
     """
     if snapshot is None:
         snapshot = report.get("metrics", {}) or {}
@@ -583,7 +563,7 @@ def render_dashboard(
             + _flamegraph(collector)
             + "</div>"
         )
-    body.append(_counter_panels(snapshot, collector))
+    body.append(_counter_panels(snapshot))
     return (
         "<!DOCTYPE html><html><head><meta charset=\"utf-8\">"
         f"<title>{_esc(title)}</title><style>{_CSS}</style></head>"

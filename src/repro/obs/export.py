@@ -6,10 +6,10 @@ Two output shapes, both documented in ``docs/observability.md``:
   by ``chrome://tracing`` / Perfetto.  Spans become complete (``"X"``)
   events on two timelines: ``tid=1`` is the *wall clock* (what the
   simulator spent) and ``tid=2`` is the *modelled clock* (architecture
-  seconds laid end to end per task, preserving nesting).  Counters
-  become ``"C"`` events.
-* **JSON lines** — one JSON object per line, one line per span/event,
-  plus a final ``counters`` record; the machine-friendly form.
+  seconds laid end to end per task, preserving nesting).  Instant
+  events become ``"i"`` events.
+* **JSON lines** — one JSON object per line, one line per span/event;
+  the machine-friendly form.
 """
 
 from __future__ import annotations
@@ -121,28 +121,14 @@ def chrome_trace(collector: Collector) -> Dict[str, Any]:
                 "args": dict(e.get("attrs", {})),
             }
         )
-    for name, value in sorted(collector.counters.items()):
-        events.append(
-            {
-                "name": name,
-                "ph": "C",
-                "pid": _PID,
-                "tid": _WALL_TID,
-                "ts": 0,
-                "args": {"value": value},
-            }
-        )
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
 def json_lines(collector: Collector) -> str:
-    """One JSON object per line: spans, instant events, then counters."""
+    """One JSON object per line: spans, then instant events."""
     lines = [json.dumps(s.to_event(), sort_keys=True) for s in collector.spans]
     lines.extend(json.dumps(e, sort_keys=True) for e in collector.events)
-    lines.append(
-        json.dumps({"type": "counters", "values": collector.counters}, sort_keys=True)
-    )
-    return "\n".join(lines) + "\n"
+    return "".join(line + "\n" for line in lines)
 
 
 def write_chrome_trace(path: str, collector: Collector) -> None:

@@ -1,15 +1,16 @@
-"""Human-readable trace summaries: the span tree and coverage figures.
+"""Human-readable summaries: the span tree, coverage and counter table.
 
 ``render_span_tree`` prints wall and modelled time side by side per
 span, nested.  ``modelled_coverage`` answers the question the profiler
 exists for: *of the modelled seconds charged to task spans, how much is
 attributed to finer-grained sub-spans?*  A backend whose cost model is
-fully threaded through the tracer scores 1.0.
+fully threaded through the tracer scores 1.0.  ``render_counters``
+lists the counter and gauge series of a metrics-registry snapshot.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Mapping, Optional
 
 from .collector import Collector, SpanRecord
 
@@ -124,16 +125,23 @@ def modelled_coverage(collector: Collector, *, cat: str = "task") -> float:
     return attributed / total
 
 
-def render_counters(collector: Collector) -> str:
-    """Sorted ``name = value`` lines for every counter."""
-    if not collector.counters:
+def render_counters(snapshot: Mapping[str, Any]) -> str:
+    """Sorted ``name{labels}  value`` lines for every counter and gauge
+    series of a :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`."""
+    rows = []
+    for name, family in snapshot.get("families", {}).items():
+        if family["kind"] not in ("counter", "gauge"):
+            continue
+        for entry in family["series"]:
+            labels = ",".join(
+                f'{k}="{v}"' for k, v in sorted(entry["labels"].items())
+            )
+            value = float(entry["value"])
+            shown = int(value) if value.is_integer() else value
+            rows.append((f"{name}{{{labels}}}" if labels else name, shown))
+    if not rows:
         return "(no counters)"
-    width = max(len(k) for k in collector.counters)
-    lines = []
-    for name in sorted(collector.counters):
-        # One float() coercion up front: a bool or int from a future
-        # caller renders exactly like the equivalent float count.
-        value = float(collector.counters[name])
-        shown = int(value) if value.is_integer() else value
-        lines.append(f"{name.ljust(width)}  {shown}")
-    return "\n".join(lines)
+    width = max(len(series) for series, _ in rows)
+    return "\n".join(
+        f"{series.ljust(width)}  {shown}" for series, shown in sorted(rows)
+    )

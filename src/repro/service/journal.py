@@ -102,7 +102,7 @@ class RequestJournal:
         except FileNotFoundError:
             return
         except OSError:
-            fault_span("io-error", "io_errors", path=str(self.path))
+            fault_span("io-error", path=str(self.path))
             return
         for line in text.splitlines():
             if not line.strip():
@@ -124,7 +124,7 @@ class RequestJournal:
         # A torn tail from SIGKILL mid-append, injected corruption, or
         # on-disk rot: drop the line, keep the rest — and say so.
         self.dropped_lines += 1
-        fault_span("journal-torn-line", "journal_dropped", path=str(self.path))
+        fault_span("journal-torn-line", path=str(self.path))
 
     # -- appending ------------------------------------------------------
 

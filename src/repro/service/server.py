@@ -57,7 +57,6 @@ from ..analysis.deadlines import AdmissionController, AdmissionVerdict
 from ..backends.registry import available_backends
 from ..core.collision import DetectionMode
 from ..harness.faults import FaultPlan
-from ..obs import count as obs_count
 from ..obs import span as obs_span
 from ..obs.metrics import (
     MetricsRegistry,
@@ -331,7 +330,6 @@ class SweepService:
         if self._drain_started is None:
             self._drain_started = time.monotonic()
             self.admission.set_draining(True)
-            obs_count("service.drain")
         deadline = self._drain_started + max(0.0, budget)
         while self._pending_cells > 0 or self._inflight_requests > 0:
             if time.monotonic() >= deadline:
@@ -442,7 +440,6 @@ class SweepService:
         inflight = self._inflight_cells.get(key)
         if inflight is not None:
             self._coalesced += 1
-            obs_count("service.coalesced")
             budget = (
                 self.config.default_deadline_s if deadline_s is None else deadline_s
             )
@@ -513,7 +510,6 @@ class SweepService:
             future = self._inflight_cells.get(key)
             if future is not None:
                 self._coalesced += 1
-                obs_count("service.coalesced")
             else:
                 if self.journal is not None:
                     self.journal.record_admitted(key, cell.to_dict())
@@ -675,12 +671,12 @@ class SweepService:
                     # are pure functions of (seed, kind, request#), so
                     # a chaos run is exactly replayable.
                     if self.faults.should_inject("stall", f"request#{seq}"):
-                        obs_count("service.fault.stall")
+                        metric_inc("atm_faults", kind="stall")
                         await asyncio.sleep(self.faults.hang_s)
                     if self.faults.should_inject("reset", f"request#{seq}"):
                         # Drop the connection before any response byte:
                         # the client sees a reset and must retry.
-                        obs_count("service.fault.reset")
+                        metric_inc("atm_faults", kind="reset")
                         break
                 status, payload, ctype, extra = await self._route(
                     method, path, body

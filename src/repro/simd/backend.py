@@ -9,7 +9,6 @@ from ..core.collision import DetectionMode
 from ..core.resolution import detect_and_resolve as core_detect_and_resolve
 from ..core.tracking import correlate as core_correlate
 from ..core.types import FleetState, RadarFrame, TaskTiming, TimingBreakdown
-from ..obs import count as obs_count
 from ..obs import span as obs_span
 from .clearspeed import CSX600, CSX600_DUAL, SimdConfig
 from .pe_array import PEArray
@@ -51,10 +50,6 @@ class SimdBackend(Backend):
                 name, cat="simd", count=pe.class_counts[klass], stripe=pe.stripe
             ) as sp:
                 sp.add_modelled(class_s)
-            obs_count(f"{name}.issues", pe.class_counts[klass])
-        obs_count("simd.vector_instructions", pe.vector_instructions)
-        obs_count("simd.scalar_instructions", pe.scalar_instructions)
-        obs_count("simd.reductions", pe.reductions)
         return detail
 
     def _charge_task1(self, task, n: int, stats) -> TaskTiming:

@@ -9,7 +9,6 @@ from ..core.collision import DetectionMode
 from ..core.resolution import detect_and_resolve as core_detect_and_resolve
 from ..core.tracking import correlate as core_correlate
 from ..core.types import FleetState, RadarFrame, TaskTiming, TimingBreakdown
-from ..obs import count as obs_count
 from ..obs import span as obs_span
 from .machine import AVX512_WORKSTATION, XEON_PHI_7250, VectorConfig
 from .tasks import charge_task1, charge_task23
@@ -57,9 +56,12 @@ class VectorBackend(Backend):
             stream_s=info["stream_s"],
         ) as sp:
             sp.add_modelled(lanes)
-        with obs_span("vector.barriers", cat="vector") as sp:
+        with obs_span(
+            "vector.barriers",
+            cat="vector",
+            regions=round(info["overhead_s"] / self.config.region_overhead_s),
+        ) as sp:
             sp.add_modelled(info["overhead_s"])
-        obs_count("vector.regions", round(info["overhead_s"] / self.config.region_overhead_s))
         task.add_modelled(seconds)
         return {"vector.lanes": lanes, "vector.barriers": info["overhead_s"]}
 

@@ -88,7 +88,7 @@ def test_documented_span_names_exist():
         with collecting() as c:
             backend.track_and_correlate(fleet, frame)
             backend.detect_and_resolve(fleet)
-        emitted |= set(c.span_names()) | set(c.counters)
+        emitted |= set(c.span_names())
 
     text = (REPO_ROOT / "docs" / "observability.md").read_text()
     cited = set(re.findall(r"`((?:task|core|reference|cuda|simd|ap|mimd|vector)\.[\w.]+|task1|task23)`", text))

@@ -4,8 +4,9 @@ The contract under test (docs/robustness.md): worker crashes, hung
 shards, transient I/O errors and store corruption are *execution*
 details — whenever retries, pool rebuilds or inline degradation let the
 sweep complete, the produced bytes are identical to a fault-free serial
-run, and every failure is visible on the obs collector rather than
-silently swallowed.
+run, and every failure is visible — a ``harness.fault`` span on the
+obs collector and an ``atm_faults`` count in the metrics registry —
+rather than silently swallowed.
 """
 
 import json
@@ -26,6 +27,7 @@ from repro.harness.faults import (
 from repro.harness.parallel import sweep_options
 from repro.harness.sweep import sweep
 from repro.obs import collecting
+from repro.obs.metrics import recording
 
 JOBS = int(os.environ.get("ATM_REPRO_TEST_JOBS", "2"))
 
@@ -40,6 +42,14 @@ FAST_RETRY = RetryPolicy(max_attempts=3, backoff_s=0.001)
 def clean_sweep_json() -> str:
     """The fault-free serial baseline every chaos run must reproduce."""
     return sweep(PLATFORMS, ns=NS, periods=1).to_canonical_json()
+
+
+def measured_shards(registry) -> float:
+    """Shards measured this run, inline or on the pool."""
+    return sum(
+        registry.value("atm_shards", source=source) or 0.0
+        for source in ("inline", "pool")
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -140,11 +150,13 @@ class TestChaosByteEquivalence:
     def test_inline_oserror_is_retried_and_byte_identical(self):
         baseline = clean_sweep_json()
         plan = FaultPlan({"oserror": 1.0}, seed=1)
-        with collecting() as c, sweep_options(faults=plan, retry=FAST_RETRY):
+        with collecting() as c, recording() as r, sweep_options(
+            faults=plan, retry=FAST_RETRY
+        ):
             chaos = sweep(PLATFORMS, ns=NS, periods=1).to_canonical_json()
         assert chaos == baseline
-        assert c.counters["harness.fault.oserrors"] == 4
-        assert c.counters["harness.fault.retries"] == 4
+        assert r.value("atm_faults", kind="os-error") == 4
+        assert r.value("atm_faults", kind="retries") == 4
         assert c.find("harness.fault"), "failures must emit harness.fault spans"
 
     def test_worker_crash_is_survived_and_byte_identical(self):
@@ -157,19 +169,19 @@ class TestChaosByteEquivalence:
             for p in ("reference", "gtx-880m")
             for n in NS
         ), "seed must actually kill at least one worker"
-        with collecting() as c, sweep_options(faults=plan, retry=FAST_RETRY):
+        with recording() as r, sweep_options(faults=plan, retry=FAST_RETRY):
             chaos = sweep(PLATFORMS, ns=NS, periods=1, jobs=JOBS).to_canonical_json()
         assert chaos == baseline
-        assert c.counters["harness.fault.worker_crashes"] >= 1
+        assert r.value("atm_faults", kind="worker-crash") >= 1
 
     def test_shard_timeout_is_survived_and_byte_identical(self):
         baseline = clean_sweep_json()
         plan = FaultPlan({"timeout": 0.5}, seed=5, hang_s=0.6)
         retry = RetryPolicy(max_attempts=3, backoff_s=0.001, timeout_s=0.2)
-        with collecting() as c, sweep_options(faults=plan, retry=retry):
+        with recording() as r, sweep_options(faults=plan, retry=retry):
             chaos = sweep(PLATFORMS, ns=NS, periods=1, jobs=JOBS).to_canonical_json()
         assert chaos == baseline
-        assert c.counters["harness.fault.timeouts"] >= 1
+        assert r.value("atm_faults", kind="timeout") >= 1
 
     def test_repeatedly_dying_workers_degrade_to_inline(self):
         """faulted_attempts > rebuild budget: the pool can never finish a
@@ -177,10 +189,10 @@ class TestChaosByteEquivalence:
         baseline = clean_sweep_json()
         plan = FaultPlan({"crash": 1.0}, seed=2, faulted_attempts=99)
         retry = RetryPolicy(max_attempts=2, backoff_s=0.001)
-        with collecting() as c, sweep_options(faults=plan, retry=retry):
+        with recording() as r, sweep_options(faults=plan, retry=retry):
             chaos = sweep(PLATFORMS, ns=NS, periods=1, jobs=JOBS).to_canonical_json()
         assert chaos == baseline
-        assert c.counters["harness.fault.degraded_to_inline"] >= 1
+        assert r.value("atm_faults", kind="degraded-to-inline") >= 1
 
     def test_combined_chaos_with_cache_corruption(self, tmp_path):
         """The acceptance scenario: crash + timeout + corrupted cache
@@ -196,14 +208,14 @@ class TestChaosByteEquivalence:
             ).to_canonical_json()
         assert cold == baseline
         # every stored entry was bit-flipped after the write...
-        with collecting() as c, sweep_options(faults=plan, retry=FAST_RETRY):
+        with recording() as r, sweep_options(faults=plan, retry=FAST_RETRY):
             warm = sweep(
                 PLATFORMS, ns=NS, periods=1, jobs=JOBS, cache=cache
             ).to_canonical_json()
         assert warm == baseline
         # ...so the warm run detected, quarantined and recomputed them.
         assert cache.quarantined == 4
-        assert c.counters["harness.fault.quarantined"] == 4
+        assert r.value("atm_faults", kind="corrupt-entry") == 4
         assert len(list((tmp_path / "cache" / "quarantine").glob("*.json"))) >= 4
 
 
@@ -221,12 +233,12 @@ class TestStoreIntegrity:
         store.put(trace.key(), trace)
         path = store._path(trace.key())
         FaultPlan(seed=9).corrupt(path)
-        with collecting() as c:
+        with recording() as r:
             assert store.get(trace.key()) is None
         assert store.quarantined == 1
         assert not path.exists()
         assert (store.root / "quarantine" / path.name).exists()
-        assert c.counters["harness.fault.quarantined"] == 1
+        assert r.value("atm_faults", kind="corrupt-entry") == 1
 
     def test_corrupt_trace_injection_end_to_end(self, tmp_path):
         """--inject-faults corrupt-trace: the trace tier self-heals and
@@ -241,11 +253,11 @@ class TestStoreIntegrity:
         with sweep_options(faults=plan, traces=traces):
             cold = sweep(PLATFORMS, ns=NS, periods=1).to_canonical_json()
         _TRACE_MEMO.clear()
-        with collecting() as c, sweep_options(faults=plan, traces=traces):
+        with recording() as r, sweep_options(faults=plan, traces=traces):
             warm = sweep(PLATFORMS, ns=NS, periods=1).to_canonical_json()
         assert cold == warm == baseline
         assert traces.quarantined == len(NS)
-        assert c.counters["harness.fault.quarantined"] == len(NS)
+        assert r.value("atm_faults", kind="corrupt-entry") == len(NS)
 
     def test_io_errors_are_counted_not_quarantined(self, tmp_path, monkeypatch):
         cache = ResultCache(tmp_path / "cache")
@@ -255,10 +267,10 @@ class TestStoreIntegrity:
             "_read_verified",
             lambda self, path: (_ for _ in ()).throw(PermissionError("denied")),
         )
-        with collecting() as c:
+        with recording() as r:
             assert cache.get(key) is None
         assert cache.io_errors == 1 and cache.quarantined == 0
-        assert c.counters["harness.fault.io_errors"] == 1
+        assert r.value("atm_faults", kind="io-error") == 1
 
     def test_stats_report_quarantine_and_io_counters(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
@@ -291,11 +303,11 @@ class TestSweepJournal:
         assert first.recorded == len(PLATFORMS)
 
         resumed = SweepJournal(path, resume=True)
-        with collecting() as c, sweep_options(journal=resumed):
+        with collecting() as c, recording() as r, sweep_options(journal=resumed):
             full = sweep(PLATFORMS, ns=NS, periods=1).to_canonical_json()
         assert full == baseline
-        assert c.counters["harness.fault.resumed_cells"] == len(PLATFORMS)
-        assert c.counters["harness.shards_measured"] == len(PLATFORMS)
+        assert r.value("atm_shards", source="journal") == len(PLATFORMS)
+        assert measured_shards(r) == len(PLATFORMS)
         journal_shards = [
             s for s in c.find("harness.shard") if s.attrs["source"] == "journal"
         ]
@@ -308,10 +320,10 @@ class TestSweepJournal:
         with sweep_options(journal=first):
             sweep(PLATFORMS, ns=NS[:1], periods=1)
         resumed = SweepJournal(path, resume=True)
-        with collecting() as c, sweep_options(journal=resumed):
+        with recording() as r, sweep_options(journal=resumed):
             full = sweep(PLATFORMS, ns=NS, periods=1, jobs=JOBS).to_canonical_json()
         assert full == baseline
-        assert c.counters["harness.fault.resumed_cells"] == len(PLATFORMS)
+        assert r.value("atm_shards", source="journal") == len(PLATFORMS)
 
     def test_torn_tail_line_is_dropped_not_fatal(self, tmp_path):
         path = tmp_path / "journal.jsonl"
@@ -321,11 +333,11 @@ class TestSweepJournal:
         # SIGKILL mid-append: a truncated, digest-less final line.
         with open(path, "a", encoding="utf-8") as fh:
             fh.write('{"key": "deadbeef", "measurement": {"pl')
-        with collecting() as c:
+        with recording() as r:
             again = SweepJournal(path, resume=True)
         assert again.dropped_lines == 1
         assert len(again) == len(NS)
-        assert c.counters["harness.fault.journal_dropped"] == 1
+        assert r.value("atm_faults", kind="journal-torn-line") == 1
 
     def test_tampered_line_fails_its_digest(self, tmp_path):
         path = tmp_path / "journal.jsonl"
@@ -350,10 +362,10 @@ class TestSweepJournal:
             sweep(["reference"], ns=NS[:1], periods=1)
         monkeypatch.setattr(ref_mod, "_SECONDS_PER_OP", 2e-9)
         resumed = SweepJournal(path, resume=True)
-        with collecting() as c, sweep_options(journal=resumed):
+        with recording() as r, sweep_options(journal=resumed):
             sweep(["reference"], ns=NS[:1], periods=1)
         assert resumed.resumed_cells == 0, "stale checkpoint must not match"
-        assert c.counters["harness.shards_measured"] == 1
+        assert measured_shards(r) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,19 @@ measurement tables.
 
 from __future__ import annotations
 
+import json
 import os
+from collections import Counter
+
+import pytest
 
 from repro.analysis.deadlines import deadline_verdicts
 from repro.harness.cache import ResultCache
+from repro.harness.faults import FaultPlan, RetryPolicy, SweepJournal
 from repro.harness.figures import deadline_table
+from repro.harness.parallel import sweep_options
 from repro.harness.report import build_report
-from repro.harness.sweep import sweep
+from repro.harness.sweep import _TRACE_MEMO, sweep
 from repro.obs import aggregate_spans, collecting
 from repro.obs.metrics import recording
 from repro.core.canonical import canonical_json
@@ -165,3 +171,76 @@ class TestOperationalCounters:
             ]
         )
         assert total > 0
+
+
+class TestSpanRegistryAgreement:
+    """The collector's spans and the registry's series are the whole
+    record of a sweep, so every count the registry holds must equal the
+    number of spans the collector holds for the same event."""
+
+    PLATFORMS = ["reference", "cuda:gtx-880m"]
+    NS = (96, 192)
+    #: fault kinds counted without a span of their own.
+    SPANLESS_KINDS = {"injected", "corrupt", "retries", "stall", "reset"}
+
+    @pytest.fixture(autouse=True)
+    def _fresh_memo(self):
+        _TRACE_MEMO.clear()
+        yield
+        _TRACE_MEMO.clear()
+
+    def _sweep(self, ns=NS, **kwargs):
+        return sweep(self.PLATFORMS, ns=ns, periods=1, **kwargs)
+
+    @staticmethod
+    def _spans(collector, name, attr):
+        return Counter(s.attrs[attr] for s in collector.find(name))
+
+    @staticmethod
+    def _series(registry, family, label):
+        return Counter(
+            {
+                json.loads(key)[label]: instrument.value
+                for key, instrument in registry.series(family).items()
+            }
+        )
+
+    def _record(self, **kwargs):
+        """Run the sweep under both records; assert they agree and return
+        the ``harness.shard`` and ``harness.fault`` span counts."""
+        with collecting() as c, recording() as r:
+            self._sweep(**kwargs)
+        shards = self._spans(c, "harness.shard", "source")
+        assert shards, "every sweep cell emits a shard span"
+        assert shards == self._series(r, "atm_shards", "source")
+        traces = self._spans(c, "harness.trace", "source")
+        assert traces == self._series(r, "atm_trace_requests", "source")
+        faults = self._spans(c, "harness.fault", "kind")
+        counted = self._series(r, "atm_faults", "kind")
+        for kind in self.SPANLESS_KINDS:
+            counted.pop(kind, None)
+        assert faults == counted
+        return shards, faults
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_injected_oserrors(self, jobs):
+        plan = FaultPlan({"oserror": 1.0}, seed=1)
+        retry = RetryPolicy(max_attempts=3, backoff_s=0.001)
+        with sweep_options(faults=plan, retry=retry):
+            shards, faults = self._record(jobs=jobs)
+        assert shards == {"inline" if jobs == 1 else "pool": 4}
+        assert faults == {"os-error": 4}
+
+    def test_journal_resume(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        with sweep_options(journal=SweepJournal(path)):
+            self._sweep(ns=self.NS[:1])
+        with sweep_options(journal=SweepJournal(path, resume=True)):
+            shards, _ = self._record()
+        assert shards == {"journal": 2, "inline": 2}
+
+    def test_warm_cache(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        self._sweep(cache=cache)
+        shards, _ = self._record(cache=cache)
+        assert shards == {"cache": 4}

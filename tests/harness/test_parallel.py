@@ -17,6 +17,7 @@ from repro.harness.parallel import current_options, sweep_options
 from repro.harness.report import build_report
 from repro.harness.sweep import SweepData, sweep
 from repro.obs import collecting
+from repro.obs.metrics import recording
 
 #: worker count exercised by the pool tests; `make test-parallel` raises
 #: it via the environment to shake out pool-related flakiness.
@@ -178,20 +179,20 @@ class TestSweepOptions:
 class TestShardSpans:
     def test_every_shard_emits_a_span(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
-        with collecting() as c:
+        with collecting() as c, recording() as r:
             sweep(MIXED, ns=(96, 192), periods=1, cache=cache)
         shards = c.find("harness.shard")
         assert len(shards) == 6
         assert {s.attrs["source"] for s in shards} == {"inline"}
         assert all(s.modelled_s > 0 for s in shards)
-        assert c.counters["harness.shards"] == 6
-        assert c.counters["harness.shards_measured"] == 6
+        assert sum(s.value for s in r.series("atm_shards").values()) == 6
+        assert r.value("atm_shards", source="inline") == 6
 
-        with collecting() as c:
+        with collecting() as c, recording() as r:
             sweep(MIXED, ns=(96, 192), periods=1, cache=cache)
         shards = c.find("harness.shard")
         assert {s.attrs["source"] for s in shards} == {"cache"}
-        assert c.counters["harness.shards_cached"] == 6
+        assert r.value("atm_shards", source="cache") == 6
 
     def test_direct_measure_platform_cache_hit_emits_shard_span(self, tmp_path):
         """Figure generators call measure_platform directly (no sweep);

@@ -28,7 +28,7 @@ from repro.harness.sweep import (
     measure_platform,
     sweep,
 )
-from repro.obs import collecting
+from repro.obs.metrics import recording
 
 JOBS = int(os.environ.get("ATM_REPRO_TEST_JOBS", "4"))
 
@@ -101,20 +101,20 @@ class TestPerBackendEquivalence:
 class TestTracePolicy:
     def test_ambient_default_replays_and_memoizes(self):
         assert len(_TRACE_MEMO) == 0
-        with collecting() as col:
+        with recording() as r:
             first = measure_platform("reference", 96, periods=2, cache=False)
             second = measure_platform("reference", 96, periods=2, cache=False)
         assert len(_TRACE_MEMO) == 1
-        assert col.counters.get("harness.trace.computed") == 1
-        assert col.counters.get("harness.trace.memo_hits") == 1
+        assert r.value("atm_trace_requests", source="compute") == 1
+        assert r.value("atm_trace_requests", source="memo") == 1
         assert canon(first) == canon(second)
 
     def test_trace_false_streams_without_memoizing(self):
-        with collecting() as col:
+        with recording() as r:
             measure_platform("reference", 96, periods=2, cache=False, trace=False)
         assert len(_TRACE_MEMO) == 0
-        assert col.counters.get("harness.trace.streamed") == 1
-        assert col.counters.get("harness.trace.computed") is None
+        assert r.value("atm_trace_requests", source="stream") == 1
+        assert r.value("atm_trace_requests", source="compute") is None
 
     def test_mismatched_trace_is_rejected(self):
         trace = compute_trace(96, periods=2)
@@ -155,12 +155,12 @@ class TestSweepEquivalence:
             cold = sweep(REPLAY_BACKENDS, ns=(96, 192), periods=2)
             assert store.stores == 2, "one stored trace per fleet size"
             _TRACE_MEMO.clear()  # force the second run through the disk tier
-            with collecting() as col:
+            with recording() as r:
                 warm = sweep(REPLAY_BACKENDS, ns=(96, 192), periods=2)
         assert store.hits == 2
         assert store.stores == 2, "warm run must not re-store traces"
-        assert col.counters.get("harness.trace.store_hits") == 2
-        assert col.counters.get("harness.trace.computed") is None
+        assert r.value("atm_trace_requests", source="store") == 2
+        assert r.value("atm_trace_requests", source="compute") is None
         assert warm.to_canonical_json() == cold.to_canonical_json()
 
     def test_report_bytes_identical_with_and_without_engine(self):

@@ -28,10 +28,12 @@ class TestProfileCommand:
         assert "cuda:titan-x-pascal" in out
         assert "task1" in out and "task23" in out
         assert "wall clock" in out and "modelled time" in out
+        # The counter section is the registry's series, after the tree.
+        assert out.rstrip().splitlines()[-1].startswith("atm_trace_requests{")
         doc = json.loads(trace.read_text())
         assert doc["traceEvents"]
         for line in jsonl.read_text().splitlines():
-            json.loads(line)
+            assert json.loads(line)["type"] in ("span", "event")
 
     def test_profile_unknown_experiment(self):
         with pytest.raises(KeyError, match="unknown experiment"):

@@ -1,4 +1,4 @@
-"""Unit tests for the repro.obs collector: spans, counters, no-op mode."""
+"""Unit tests for the repro.obs collector: spans, events, no-op mode."""
 
 from __future__ import annotations
 
@@ -71,13 +71,6 @@ class TestSpans:
 
 
 class TestCountersAndEvents:
-    def test_counters_are_monotonic_sums(self):
-        with collecting() as c:
-            obs.count("launches")
-            obs.count("launches", 2)
-            obs.count("bytes", 128.0)
-        assert c.counters == {"launches": 3.0, "bytes": 128.0}
-
     def test_events_record_position_in_tree(self):
         with collecting() as c:
             with obs.span("outer"):
@@ -91,10 +84,9 @@ class TestCountersAndEvents:
         with collecting() as c:
             with obs.span("t") as sp:
                 sp.add_modelled(1)
-            obs.count("n")
             obs.event("e")
             c.clear()
-            assert (c.spans, c.events, c.counters) == ([], [], {})
+            assert (c.spans, c.events) == ([], [])
 
 
 class TestNoOpMode:
@@ -108,8 +100,7 @@ class TestNoOpMode:
             assert sp.set(a=1) is sp
             assert sp.add_modelled(2.0) is sp
 
-    def test_disabled_count_and_event_are_noops(self):
-        obs.count("n", 5)
+    def test_disabled_event_is_a_noop(self):
         obs.event("e")  # must not raise, must not record anywhere
         assert obs.get_collector() is None
 
@@ -160,7 +151,6 @@ class TestAdoptAndMerge:
             with worker.span("correlate", cat="kernel") as k:
                 k.add_modelled(0.25)
         worker.event("deadline.miss", cat="slo", platform="ap:staran")
-        worker.count("kernel.calls", 3.0)
         return worker
 
     def test_adopt_remaps_ids_and_reparents_roots(self):
@@ -168,19 +158,13 @@ class TestAdoptAndMerge:
         parent = Collector()
         with parent.span("harness.shard", cat="harness") as shard:
             shard_id = shard.span_id
-        id_map = parent.adopt(
-            list(worker.spans),
-            worker.events,
-            worker.counters,
-            parent_id=shard_id,
-        )
+        id_map = parent.adopt(list(worker.spans), worker.events, parent_id=shard_id)
         adopted = {s.span_id: s for s in parent.spans if s.name != "harness.shard"}
         assert set(id_map.values()) == set(adopted)
         task = next(s for s in adopted.values() if s.name == "task1")
         kernel = next(s for s in adopted.values() if s.name == "correlate")
         assert task.parent_id == shard_id
         assert kernel.parent_id == task.span_id
-        assert parent.counters["kernel.calls"] == 3.0
         assert parent.events[-1]["name"] == "deadline.miss"
 
     def test_adopt_remap_survives_children_before_parents(self):
@@ -200,18 +184,6 @@ class TestAdoptAndMerge:
         parent.adopt(list(worker.spans), worker.events, wall_offset_s=100.0)
         assert all(s.wall_start_s >= 100.0 for s in parent.spans)
         assert parent.events[-1]["wall_start_s"] >= 100.0
-
-    def test_merge_wraps_in_synthetic_root(self):
-        worker = self._worker_trace()
-        parent = Collector()
-        parent.count("kernel.calls", 1.0)
-        root_id = parent.merge(worker)
-        root = next(s for s in parent.spans if s.span_id == root_id)
-        assert root.cat == "merge"
-        assert root.attrs["spans"] == len(worker.spans)
-        task = next(s for s in parent.spans if s.name == "task1")
-        assert task.parent_id == root_id
-        assert parent.counters["kernel.calls"] == 4.0
 
     def test_span_record_event_round_trip(self):
         worker = self._worker_trace()

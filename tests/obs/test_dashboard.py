@@ -76,7 +76,6 @@ def _collector() -> Collector:
             t.add_modelled(0.4)
             with c.span("correlate", cat="kernel") as k:
                 k.add_modelled(0.3)
-    c.count("trace.memo_hit", 2.0)
     return c
 
 
@@ -100,7 +99,9 @@ class TestRenderDashboard:
         assert "mimd:xeon-16" in html
         assert "atm_deadline_margin_seconds" in html
         assert "correlate" in html
-        assert "trace.memo_hit" in html
+        # Counts come from the registry snapshot alone.
+        assert "Metric counters" in html and "atm_shards" in html
+        assert "Trace counters" not in html
 
     def test_snapshot_defaults_to_report_metrics(self):
         html = render_dashboard(_report())

@@ -6,6 +6,7 @@ import pytest
 
 from repro import obs
 from repro.obs import collecting, modelled_coverage, render_counters, render_span_tree
+from repro.obs.metrics import MetricsRegistry
 
 
 def _task_with_children(child_fractions):
@@ -78,17 +79,26 @@ class TestRenderSpanTree:
 
 class TestRenderCounters:
     def test_sorted_and_integers_shown_as_integers(self):
-        with collecting() as c:
-            obs.count("z.calls", 4)
-            obs.count("a.bytes", 2.5)
-        out = render_counters(c).splitlines()
-        assert out[0].startswith("a.bytes") and out[0].endswith("2.5")
-        assert out[1].startswith("z.calls") and out[1].endswith("4")
+        r = MetricsRegistry()
+        r.inc("atm_trace_requests", 4, source="memo")
+        r.inc("atm_shards", 2, source="pool")
+        r.set("atm_trace_peak_bytes", 2.5, path="streamed")
+        r.set("atm_service_drain_seconds", 0.25)
+        r.observe("atm_service_batch_cells", 3.0)  # histograms are not listed
+        out = render_counters(r.snapshot()).splitlines()
+        assert [line.split()[0] for line in out] == [
+            "atm_service_drain_seconds",
+            'atm_shards{source="pool"}',
+            'atm_trace_peak_bytes{path="streamed"}',
+            'atm_trace_requests{source="memo"}',
+        ]
+        assert [line.split()[1] for line in out] == ["0.25", "2", "2.5", "4"]
 
     def test_no_counters(self):
-        with collecting() as c:
-            pass
-        assert render_counters(c) == "(no counters)"
+        r = MetricsRegistry()
+        assert render_counters(r.snapshot()) == "(no counters)"
+        r.observe("atm_service_batch_cells", 3.0)
+        assert render_counters(r.snapshot()) == "(no counters)"
 
 
 class TestTruncationAccounting:
@@ -127,23 +137,6 @@ class TestTruncationAccounting:
     def test_no_footer_when_everything_fits(self):
         tree = render_span_tree(self._wide_tree(), max_spans=400)
         assert "truncated" not in tree
-
-
-class TestCounterCoercion:
-    def test_int_float_and_bool_values_render(self):
-        with collecting() as c:
-            pass
-        c.counters["i"] = 7
-        c.counters["f"] = 2.5
-        c.counters["whole"] = 3.0
-        c.counters["b"] = True
-        out = dict(
-            line.split(maxsplit=1) for line in render_counters(c).splitlines()
-        )
-        assert out["i"] == "7"
-        assert out["f"] == "2.5"
-        assert out["whole"] == "3"  # no trailing .0
-        assert out["b"] == "1"  # bools coerce like their float value
 
 
 class TestCoverageEdgeCases:

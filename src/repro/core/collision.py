@@ -49,9 +49,14 @@ __all__ = [
 
 _INF = np.inf
 
-#: float64 temporaries live per pair cell inside one detect() chunk
-#: (gaps, relative velocities, the two window bounds, t_eff, masks, the
-#: where/min scratch) — about 12 arrays of 8 bytes.
+#: Bytes per pair cell that size one detect() chunk: the all-pairs
+#: kernel kept about 12 float64 temporaries live per cell (gaps,
+#: relative velocities, the two window bounds, t_eff, masks, the
+#: where/min scratch).  The altitude-gated chunk needs only about 17 B
+#: per cell (the float64 altitude difference, its absolute value and
+#: the bool gate) plus its gathered in-band cells, but the constant
+#: stays: it fixes how many chunks, and so how many ``pair_interval``
+#: calls, a pass makes.
 DETECT_PAIR_ROW_BYTES = 96
 
 #: default working-set budget for one detect() chunk.  At the paper's
@@ -63,7 +68,7 @@ DETECT_CHUNK_BUDGET_BYTES = 192 << 20
 def detect_chunk_rows(n: int, budget_bytes: Optional[int] = None) -> int:
     """Rows per detection chunk that fit ``budget_bytes`` of temporaries.
 
-    Each chunk materializes ``rows x n`` pair cells at roughly
+    Each chunk spans ``rows x n`` pair cells, budgeted at
     :data:`DETECT_PAIR_ROW_BYTES` per cell.  Results are chunk-invariant
     (every row's outputs depend only on that row), so this only trades
     memory against vectorization width.
@@ -156,6 +161,18 @@ def pair_interval(
     return np.maximum(x_lo, y_lo), np.minimum(x_hi, y_hi)
 
 
+def _window(t_lo, t_hi, mode: DetectionMode) -> Tuple[np.ndarray, np.ndarray]:
+    """``(t_eff, open_window)`` of a pair window: when the overlap starts,
+    counted from now, and whether it is still ahead."""
+    if mode is DetectionMode.SIGNED:
+        t_eff = np.maximum(t_lo, 0.0)
+        open_window = (t_lo < t_hi) & (t_hi > 0.0)
+    else:
+        t_eff = t_lo
+        open_window = t_lo < t_hi
+    return t_eff, open_window
+
+
 def conflict_row(
     fleet: FleetState,
     i: int,
@@ -168,27 +185,30 @@ def conflict_row(
     """Conflict test of aircraft ``i`` (with trial velocity) vs everyone.
 
     Used both by detection (with the committed velocity) and by Task 3
-    (with a rotated trial velocity).  Returns ``(conflict, t_eff)`` —
-    boolean mask over all aircraft (False at j == i and outside the
-    altitude band) and the effective first-overlap time (clamped >= 0 in
-    SIGNED mode, as defined by the paper's time axis starting "now").
+    (with a rotated trial velocity).  Returns ``(conflict, t_eff)`` over
+    all aircraft: ``conflict`` is the boolean mask (False at j == i and
+    outside the altitude band) and ``t_eff`` the effective first-overlap
+    time (clamped >= 0 in SIGNED mode, as defined by the paper's time
+    axis starting "now").  The pair mathematics runs only on ``i``'s
+    in-band partners, gathered first; every other entry of ``t_eff``
+    is ``+inf``.
     """
-    gap_x = fleet.x - fleet.x[i]
-    gap_y = fleet.y - fleet.y[i]
-    rel_vx = fleet.dx - dxi
-    rel_vy = fleet.dy - dyi
-
-    t_lo, t_hi = pair_interval(gap_x, gap_y, rel_vx, rel_vy, mode)
-    if mode is DetectionMode.SIGNED:
-        t_eff = np.maximum(t_lo, 0.0)
-        open_window = (t_lo < t_hi) & (t_hi > 0.0)
-    else:
-        t_eff = t_lo
-        open_window = t_lo < t_hi
-
     near_alt = np.abs(fleet.alt - fleet.alt[i]) < C.ALTITUDE_SEPARATION_FT
-    conflict = open_window & (t_eff < horizon) & near_alt
-    conflict[i] = False
+    near_alt[i] = False
+    j = np.flatnonzero(near_alt)
+    t_lo, t_hi = pair_interval(
+        fleet.x[j] - fleet.x[i],
+        fleet.y[j] - fleet.y[i],
+        fleet.dx[j] - dxi,
+        fleet.dy[j] - dyi,
+        mode,
+    )
+    t_band, open_window = _window(t_lo, t_hi, mode)
+
+    conflict = np.zeros(fleet.n, dtype=bool)
+    conflict[j] = open_window & (t_band < horizon)
+    t_eff = np.full(fleet.n, _INF)
+    t_eff[j] = t_band
     return conflict, t_eff
 
 
@@ -227,11 +247,15 @@ def detect(
     Mutates ``col``, ``time_till`` and ``col_with`` exactly as the
     paper's kernel does: ``time_till`` becomes the earliest critical
     overlap time (if below the 300-period safe value), ``col_with`` the
-    partner achieving it, ``col`` flags aircraft needing resolution.
+    partner achieving it (the smallest id among equal times), ``col``
+    flags aircraft needing resolution.
 
-    ``chunk`` (rows per pass) defaults to whatever fits
-    :data:`DETECT_CHUNK_BUDGET_BYTES` via :func:`detect_chunk_rows`;
-    outputs are identical for any chunk.
+    Each chunk of rows gates its cells on the 1000 ft altitude band
+    first and runs the pair mathematics only on the in-band cells,
+    gathered in row-major order — the cells the all-pairs kernel would
+    have masked out are never evaluated.  ``chunk`` (rows per pass)
+    defaults to whatever fits :data:`DETECT_CHUNK_BUDGET_BYTES` via
+    :func:`detect_chunk_rows`; outputs are identical for any chunk.
     """
     stats = DetectionStats()
     fleet.reset_collision()
@@ -240,52 +264,38 @@ def detect(
     stats.critical_per_aircraft = np.zeros(n, dtype=np.int64)
     if chunk is None:
         chunk = detect_chunk_rows(n)
+    x, y, dx, dy, alt = fleet.x, fleet.y, fleet.dx, fleet.dy, fleet.alt
 
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
-        rows = slice(lo, hi)
-        gap_x = fleet.x[None, :] - fleet.x[rows, None]
-        gap_y = fleet.y[None, :] - fleet.y[rows, None]
-        rel_vx = fleet.dx[None, :] - fleet.dx[rows, None]
-        rel_vy = fleet.dy[None, :] - fleet.dy[rows, None]
-
-        t_lo, t_hi = pair_interval(gap_x, gap_y, rel_vx, rel_vy, mode)
-        if mode is DetectionMode.SIGNED:
-            t_eff = np.maximum(t_lo, 0.0)
-            open_window = (t_lo < t_hi) & (t_hi > 0.0)
-        else:
-            t_eff = t_lo
-            open_window = t_lo < t_hi
-
         near_alt = (
-            np.abs(fleet.alt[None, :] - fleet.alt[rows, None])
-            < C.ALTITUDE_SEPARATION_FT
+            np.abs(alt[None, :] - alt[lo:hi, None]) < C.ALTITUDE_SEPARATION_FT
         )
-        # Mask the diagonal (i == j).
-        diag = np.arange(lo, hi)
-        self_mask = np.ones_like(open_window)
-        self_mask[np.arange(hi - lo), diag] = False
-
-        stats.pairs_in_altitude_band += int(np.count_nonzero(near_alt & self_mask))
-        conflict = (
-            open_window
-            & (t_eff < C.PROJECTION_HORIZON_PERIODS)
-            & near_alt
-            & self_mask
+        near_alt[np.arange(hi - lo), np.arange(lo, hi)] = False  # i == j
+        r, c = np.nonzero(near_alt)
+        stats.pairs_in_altitude_band += int(r.shape[0])
+        i = r + lo
+        t_lo, t_hi = pair_interval(
+            x[c] - x[i], y[c] - y[i], dx[c] - dx[i], dy[c] - dy[i], mode
         )
+        t_eff, open_window = _window(t_lo, t_hi, mode)
+        conflict = open_window & (t_eff < C.PROJECTION_HORIZON_PERIODS)
         stats.conflicts += int(np.count_nonzero(conflict))
 
         critical = conflict & (t_eff < C.TIME_TILL_SAFE_PERIODS)
-        stats.critical_conflicts += int(np.count_nonzero(critical))
-        stats.critical_per_aircraft[lo:hi] = np.count_nonzero(critical, axis=1)
+        r, c, t = r[critical], c[critical], t_eff[critical]
+        stats.critical_conflicts += int(r.shape[0])
+        stats.critical_per_aircraft[lo:hi] = np.bincount(r, minlength=hi - lo)
 
-        t = np.where(critical, t_eff, _INF)
-        row_min = t.min(axis=1)
-        hit = row_min < C.TIME_TILL_SAFE_PERIODS
-        partners = np.argmin(t, axis=1)
-        idx = np.arange(lo, hi)[hit]
-        fleet.time_till[idx] = row_min[hit]
-        fleet.col_with[idx] = partners[hit]
+        # Each row's earliest critical partner, smallest id among equal
+        # times: the first cell per row ordered by (row, t_eff, column).
+        # t_eff is never -0.0, so equal times are equal bits.
+        order = np.lexsort((c, t, r))
+        r, c, t = r[order], c[order], t[order]
+        first = np.flatnonzero(np.diff(r, prepend=-1))
+        idx = r[first] + lo
+        fleet.time_till[idx] = t[first]
+        fleet.col_with[idx] = c[first]
         fleet.col[idx] = 1
 
     stats.flagged_aircraft = int(np.count_nonzero(fleet.col))

@@ -1,12 +1,14 @@
-"""Sort-sweep / spatial-hash candidate pruning for the functional pass.
+"""Sort-sweep candidate pruning for the functional pass.
 
-The brute-force Task-2 kernel (:func:`repro.core.collision.detect`)
-evaluates all ``n * (n - 1)`` ordered pairs; the functional simulation
-therefore cost O(n^2) even though the *cost ledgers* are what actually
-charge the paper's algorithms.  At continental fleet sizes (n = 10^6,
-ROADMAP item 3) that is infeasible, so this module prunes the candidate
-set before the exact pair mathematics runs — **without changing a single
-output bit**:
+The in-place Task-2 kernel (:func:`repro.core.collision.detect`) runs
+the pair mathematics only on the cells inside the altitude band, but it
+still evaluates that gate on all ``n * (n - 1)`` ordered pairs, and
+every Task-3 existence check (:func:`~repro.core.collision.conflict_row`)
+scans all ``n`` altitudes; the functional simulation therefore costs
+O(n^2) even though the *cost ledgers* are what actually charge the
+paper's algorithms.  At continental fleet sizes (n = 10^6) that is
+infeasible, so this module prunes the candidate set before any per-pair
+work runs — **without changing a single output bit**:
 
 * **Altitude-band gate** (the sweep line).  Every conflict requires
   ``|fl(alt_j - alt_i)| < 1000 ft``.  Because IEEE-754 negation is exact
@@ -19,7 +21,7 @@ output bit**:
   recomputation**: the in-band mask is purely positional.  The empirical
   window is ~5% of the fleet (1000 ft band over a 1000..40000 ft uniform
   altitude layer), so the detection pass evaluates ~5% of the pairs, on
-  exactly the same float operands as the brute-force kernel.
+  exactly the same float operands as the in-place kernel.
 
 * **Per-axis time-window sort-sweep** for the resolution re-checks.
   Task 3 only consumes the *existence* of a critical conflict
@@ -32,21 +34,20 @@ output bit**:
   reach over 2400 periods is 200 nm on a 256 nm airfield).  Candidates
   surviving the altitude window plus the per-axis boxes are then tested
   with the exact :func:`~repro.core.collision.pair_interval` math, so
-  the existence answer is bit-for-bit the brute-force one.
+  the existence answer is bit-for-bit the in-place one.
 
-* **Grid hash** for Task-1 candidate generation (in
-  :mod:`repro.core.tracking`): radar reports only match aircraft inside
-  a ``2g x 2g`` gate, so bucketing expected positions on a ``2g`` grid
-  and probing the 3x3 neighbourhood yields a superset of the gate hits,
-  which the exact gate predicate then filters.
+Task 1 needs no pruner here: its grid-hash candidate generator
+(:mod:`repro.core.tracking`) runs at every fleet size, and under pruning
+it only reports its probes as a ``core.prune`` span.
 
 The pruned implementations are differential- and property-tested
-(``tests/core/test_sweepline.py``) to be bit-identical to the brute
-passes on SIGNED and PAPER_ABS modes, including ulp-adversarial
-coordinates.  The cost ledgers are untouched: ``pairs_checked`` stays
-the closed-form ``n * (n - 1)`` and every other statistic is reproduced
-exactly, so each backend still charges what *its* algorithm (all-pairs,
-bitonic, associative scan) would do.  See docs/performance.md,
+(``tests/core/test_sweepline.py``) to be bit-identical to the dense
+all-pairs reference (``tests/core/dense_reference.py``) on SIGNED and
+PAPER_ABS modes, including ulp-adversarial coordinates.  The cost
+ledgers are untouched: ``pairs_checked`` stays the closed-form
+``n * (n - 1)`` and every other statistic is reproduced exactly, so
+each backend still charges what *its* algorithm (all-pairs, bitonic,
+associative scan) would do.  See docs/performance.md,
 "Large-n regime".
 """
 
@@ -60,7 +61,7 @@ import numpy as np
 
 from . import constants as C
 from .bands import band_bounds
-from .collision import DetectionMode, DetectionStats, pair_interval
+from .collision import DetectionMode, DetectionStats, _window, pair_interval
 from .types import FleetState
 
 __all__ = [
@@ -77,7 +78,7 @@ _INF = np.inf
 
 #: ``auto`` enables pruning from this fleet size on.  Above every paper
 #: axis (the paper stops at 5760/16000), so default reproduction runs
-#: keep the brute-force pass byte-for-byte untouched.
+#: take the in-place gated pass (the bytes are the same either way).
 PRUNE_MIN_N = 8192
 
 #: Pair cells evaluated per dense block of the pruned detection pass
@@ -174,17 +175,6 @@ class AltitudeBandIndex:
         if not self.n:
             return 0
         return int((self.end - self.begin - 1).sum())
-
-
-def _window(t_lo, t_hi, mode: DetectionMode) -> Tuple[np.ndarray, np.ndarray]:
-    """The (t_eff, open_window) step shared with ``detect``, verbatim."""
-    if mode is DetectionMode.SIGNED:
-        t_eff = np.maximum(t_lo, 0.0)
-        open_window = (t_lo < t_hi) & (t_hi > 0.0)
-    else:
-        t_eff = t_lo
-        open_window = t_lo < t_hi
-    return t_eff, open_window
 
 
 def detect_pruned(

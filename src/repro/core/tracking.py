@@ -22,6 +22,16 @@ State machine (per correlation round, gate half-width ``g``):
 * finally, every aircraft matched by exactly one surviving radar takes
   the radar position as its new (x, y); everyone else advances to its
   expected position.
+
+Candidate generation
+--------------------
+The state machine visits only the (radar, aircraft) pairs whose gate
+test passes.  At every fleet size they come from a grid hash of the
+expected positions (:func:`_candidate_pairs`): each radar probes the
+3x3 neighbourhood of its ``2g`` grid cell and the exact gate predicate
+filters the probes, which yields the same pairs in the same order as
+testing every (radar, aircraft) cell — the scan that
+``tests/core/dense_reference.py`` keeps as the test oracle.
 """
 
 from __future__ import annotations
@@ -36,10 +46,6 @@ from .geometry import wraparound
 from .types import FleetState, RadarFrame
 
 __all__ = ["TrackingStats", "compute_expected", "run_correlation_round", "correlate"]
-
-#: Radar rows are compared against aircraft in chunks of this many radars
-#: to bound the gate-matrix working set (chunk x n bools).
-_CHUNK = 2048
 
 
 @dataclass
@@ -88,46 +94,22 @@ def _candidate_pairs(
     fleet: FleetState,
     plane_mask: np.ndarray,
     gate_half: float,
+    *,
+    pruned: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """All (radar, aircraft) index pairs whose gate test passes.
 
     Returned sorted by radar index then aircraft index — exactly the
-    order the serialized state machine visits them.
-    """
-    pair_r: list[np.ndarray] = []
-    pair_p: list[np.ndarray] = []
-    ex, ey = fleet.expected_x, fleet.expected_y
-    for lo in range(0, radar_ids.shape[0], _CHUNK):
-        rid = radar_ids[lo : lo + _CHUNK]
-        rx = frame.rx[rid][:, None]
-        ry = frame.ry[rid][:, None]
-        hit = (
-            (np.abs(rx - ex[None, :]) < gate_half)
-            & (np.abs(ry - ey[None, :]) < gate_half)
-            & plane_mask[None, :]
-        )
-        rows, cols = np.nonzero(hit)
-        pair_r.append(rid[rows])
-        pair_p.append(cols.astype(np.int64))
-    if not pair_r:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    return np.concatenate(pair_r), np.concatenate(pair_p)
-
-
-def _candidate_pairs_hashed(
-    radar_ids: np.ndarray,
-    frame: RadarFrame,
-    fleet: FleetState,
-    plane_mask: np.ndarray,
-    gate_half: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Grid-hashed :func:`_candidate_pairs`: same pairs, same order.
+    order the serialized state machine visits them.  ``pruned`` only
+    reports the pass as pruned (one ``core.prune`` span and its
+    ``atm_prune_candidates`` count); the pairs are the same either way.
 
     Expected positions are bucketed on a grid of cell size
     ``2 * gate_half``; each radar probes its own cell plus the 3x3
     neighbourhood, and survivors are re-filtered with the *exact* gate
-    predicate on the same float operands as the brute scan — so the
-    result is provably the identical pair set, in (radar, plane) order.
+    predicate on the same float operands as a scan of every
+    (radar, aircraft) cell — so the result is provably that scan's pair
+    set, in (radar, plane) order, for O(n log n) instead of O(n^2).
 
     Coverage argument: the gate half-widths are powers of two, so the
     grid quotients ``pos / cell`` are computed exactly; a gate hit means
@@ -143,7 +125,8 @@ def _candidate_pairs_hashed(
     empty = np.empty(0, np.int64)
     brute = int(radar_ids.shape[0]) * int(planes.shape[0])
     if radar_ids.shape[0] == 0 or planes.shape[0] == 0:
-        _prune_span("track", planes.shape[0], brute, 0)
+        if pruned:
+            _prune_span("track", planes.shape[0], brute, 0)
         return empty, empty
 
     cell = 2.0 * gate_half
@@ -192,7 +175,8 @@ def _candidate_pairs_hashed(
             pair_r.append(rr[hit])
             pair_p.append(cand[hit])
 
-    _prune_span("track", planes.shape[0], brute, probed)
+    if pruned:
+        _prune_span("track", planes.shape[0], brute, probed)
     if not pair_r:
         return empty, empty
     pr = np.concatenate(pair_r)
@@ -207,17 +191,18 @@ def run_correlation_round(
     gate_half: float,
     stats: TrackingStats,
     *,
-    hashed: bool = False,
+    pruned: bool = False,
 ) -> None:
     """Execute one correlation round with the given gate half-width.
 
-    ``hashed`` selects the grid-hash candidate generator (identical
-    pairs in identical order; O(n log n) instead of O(n^2)).
+    ``pruned`` reports the candidate generation as a pruned pass (see
+    :func:`_candidate_pairs`); the round's results do not depend on it.
     """
     radar_ids = np.nonzero(frame.match_with == C.NO_MATCH)[0].astype(np.int64)
     plane_mask = fleet.r_match == C.UNMATCHED
-    generate = _candidate_pairs_hashed if hashed else _candidate_pairs
-    pr, pp = generate(radar_ids, frame, fleet, plane_mask, gate_half)
+    pr, pp = _candidate_pairs(
+        radar_ids, frame, fleet, plane_mask, gate_half, pruned=pruned
+    )
 
     stats.rounds_executed += 1
     stats.candidate_pairs.append(int(pr.shape[0]))
@@ -303,8 +288,10 @@ def correlate(
 
     Returns the dynamic statistics used by the architecture timing
     models (candidate counts per round, rounds executed, ...).
-    ``pruned`` swaps in the grid-hash candidate generator; stats and
-    state mutations are bit-identical either way.
+    Candidates come from the grid hash at every fleet size; ``pruned``
+    only records each round as a pruned pass (``core.prune`` span,
+    ``atm_prune_candidates{task="track"}``), so stats and state
+    mutations are bit-identical either way.
     """
     stats = TrackingStats()
     fleet.reset_correlation()
@@ -317,7 +304,7 @@ def correlate(
             if not np.any(frame.match_with == C.NO_MATCH):
                 break  # every radar resolved; no extra rounds needed
             gate *= 2.0
-        run_correlation_round(fleet, frame, gate, stats, hashed=pruned)
+        run_correlation_round(fleet, frame, gate, stats, pruned=pruned)
 
     _commit(fleet, frame, stats)
     return stats

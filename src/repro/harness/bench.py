@@ -23,10 +23,11 @@ must not fall more than ``max_regression`` (default 25%) below the
 committed baseline's.  See docs/performance.md and ``make bench-smoke``.
 
 ``run_bench_large`` is the continental-scale profile: a calibration
-stage times the brute-force O(n²) functional pass against the sweepline
-pruner on the same fleet (and checks the two traces are functionally
-identical), then a single pruned pass at ``n`` (default 10⁶) drives the
-paper's five-platform deadline table.  ``large_bench_table`` projects
+stage times the unpruned O(n²) functional pass (``pruning="off"``, the
+record's ``brute``) against the sweepline pruner on the same fleet (and
+checks the two traces are functionally identical), then a single pruned
+pass at ``n`` (default 10⁶) drives the paper's five-platform deadline
+table.  ``large_bench_table`` projects
 the record onto its deterministic, wall-free subset — modelled task
 times and deadline margins only — so CI can run the profile twice and
 ``cmp`` the tables byte for byte.  See docs/performance.md ("Large-n
@@ -254,11 +255,12 @@ def run_bench_large(
 
     Two stages:
 
-    * **calibration** — the brute-force O(n²) functional pass and the
-      sweepline-pruned pass both run once at ``calibration_n`` (large
-      enough for the asymptotics to show, small enough for brute force
-      to finish).  Their wall times give the pruning speedup, and their
-      traces must be functionally identical (``equivalent``).
+    * **calibration** — the unpruned O(n²) functional pass (the
+      altitude gate over every pair) and the sweepline-pruned pass both
+      run once at ``calibration_n`` (large enough for the asymptotics to
+      show, small enough for the unpruned pass to finish).  Their wall
+      times give the pruning speedup, and their traces must be
+      functionally identical (``equivalent``).
     * **large** — one pruned five-platform sweep at ``n`` produces the
       paper's deadline table at continental scale: per-period tracking
       margins and the collision-period margin against the half-second
@@ -281,7 +283,7 @@ def run_bench_large(
     n = int(n)
     calibration_n = int(calibration_n)
 
-    # --- calibration: brute O(n²) vs sweepline-pruned, same fleet ----
+    # --- calibration: unpruned O(n²) vs sweepline-pruned, same fleet --
     t0 = time.perf_counter()
     brute = compute_trace(
         calibration_n, seed=seed, periods=periods, mode=mode, pruning="off"
@@ -419,7 +421,7 @@ def render_bench_large(result: Dict[str, Any]) -> str:
     )
     lines.append(
         "  equivalence  "
-        + ("pruned trace functionally identical to brute force"
+        + ("pruned trace functionally identical to the unpruned one"
            if result["equivalent"] else "FAILED")
     )
     return "\n".join(lines)

@@ -38,7 +38,7 @@ report flags:
   --only ID [ID ...]   run a subset of experiment ids (see 'atm-repro list')
   --full               full sweeps (each experiment's defaults); the default
                        quick profile uses reduced fleet-size sweeps and
-                       finishes in a couple of minutes
+                       finishes in about ten seconds on two cores
   --seed N             master airfield seed passed to every experiment
                        (default 2018; the same seed reproduces the same
                        report bit for bit on deterministic platforms)
@@ -81,7 +81,7 @@ benchmarking:
   --baseline it exits non-zero when the speedup regresses >25%%.
 
   atm-repro bench --large [--large-n N] [--table-out FILE]
-  the continental-scale profile: times the brute-force O(n^2) functional
+  the continental-scale profile: times the unpruned O(n^2) functional
   pass against the sweepline pruner (and checks the traces are
   functionally identical), then runs one pruned five-platform sweep at
   N (default 1,000,000) and writes the deadline table plus peak-memory
@@ -1000,7 +1000,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(render_bench_large(result))
             if not result["equivalent"]:
                 print(
-                    "FAIL: pruned trace differs from brute force",
+                    "FAIL: pruned trace differs from the unpruned one",
                     file=sys.stderr,
                 )
                 return 1

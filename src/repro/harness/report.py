@@ -6,8 +6,9 @@ collects each result's structured data and rendered text into one
 document.  ``atm-repro report --out report.json`` is the single command
 a reviewer runs to regenerate the paper's evaluation end to end.
 
-A ``quick`` profile (smaller sweeps) finishes in a couple of minutes;
-the ``full`` profile uses each experiment's defaults.
+A ``quick`` profile (smaller sweeps) finishes in about ten seconds on
+a two-core machine; the ``full`` profile uses each experiment's
+defaults.
 """
 
 from __future__ import annotations
@@ -107,7 +108,8 @@ def build_report(
         (``"auto"``/``"on"``/``"off"``, ``--pruning``); None keeps the
         ambient default (``auto``).  Like ``jobs`` and ``trace``, the
         report bytes are identical for every setting — the sweepline
-        pruner is proven bit-identical to the brute-force pass (see
+        pruner and the in-place gated pass are both proven
+        bit-identical to the dense all-pairs reference (see
         docs/performance.md, "Large-n regime").
     metrics_registry:
         A :class:`~repro.obs.metrics.MetricsRegistry` to record into

@@ -238,15 +238,18 @@ def _cell_records(
     :class:`~repro.core.trace.CollisionRecord`.
 
     A given :class:`~repro.core.trace.FunctionalTrace` is replayed as
-    is.  Under the ambient trace policy the cell shares one trace per
-    fleet size (memo, then ``TraceStore``, then ``compute_trace``).
-    ``trace=False``, a policy that is off, or a trace too large for the
-    resident budget gets a private streamed pass instead.
+    is.  ``trace=True``, or ``None`` under an ambient trace policy that
+    is on, shares one trace per fleet size (memo, then ``TraceStore``,
+    then ``compute_trace``).  ``trace=False``, an ambient policy that is
+    off, or a trace too large for the resident budget gets a private
+    streamed pass instead.
     """
+    opts = current_options()
     if trace is None:
-        opts = current_options()
+        trace = opts.trace
+    if trace is True:
         budget = opts.trace_budget or DEFAULT_TRACE_BUDGET
-        if opts.trace and budget.allows_resident(estimate_trace_bytes(n, periods)):
+        if budget.allows_resident(estimate_trace_bytes(n, periods)):
             trace = _obtain_trace(
                 n,
                 seed=seed,
@@ -302,12 +305,13 @@ def measure_platform(
 
     ``trace`` selects where the functional records come from: ``None``
     follows the ambient :func:`~repro.harness.parallel.sweep_options`
-    policy (on by default — one shared
+    policy (on by default), ``True`` uses the shared trace as
+    ``sweep_options(trace=True)`` does — one
     :class:`~repro.core.trace.FunctionalTrace` per fleet size, replayed
-    by every backend), ``False`` runs a private functional pass for this
+    by every backend — ``False`` runs a private functional pass for this
     cell alone, and a :class:`~repro.core.trace.FunctionalTrace`
     instance is replayed as-is (it must match the task parameters).  All
-    three return byte-identical measurements — the equivalence tests
+    of them return byte-identical measurements — the equivalence tests
     compare them with the backend's direct task calls.
 
     ``journal`` is a :class:`~repro.harness.faults.SweepJournal` to

@@ -16,7 +16,7 @@ aggregates into a parent losslessly (counts and sums add, histogram
 buckets add), so a ``--jobs N`` sweep aggregates identically to serial.
 The determinism boundary is explicit: :meth:`SpanAggregate.to_dict`
 with ``deterministic_only=True`` drops wall-clock fields and the
-harness/fault/core categories (whose span *count* legitimately depends
+harness/core categories (whose span *count* legitimately depends
 on scheduling — e.g. trace memo hits differ between serial and pool
 composition), leaving only modelled quantities, which are byte-identical
 for any worker count.  The equivalence tests assert that.
@@ -42,10 +42,12 @@ __all__ = [
 #: Categories whose span population depends on scheduling/caching (how
 #: many shards, how traces were obtained), so they are excluded from the
 #: deterministic projection.  ``core`` is here because the functional
-#: simulation runs once per fleet size *wherever the scheduler put it* —
-#: in the parent on a serial run, in an uncollected worker on a pool
-#: run, nowhere at all on a warm trace store.
-NONDETERMINISTIC_CATS = frozenset({"harness", "fault", "core"})
+#: simulation runs *wherever the scheduler put it*: once per fleet size
+#: in the parent on a serial run; on a pool run in a trace worker, whose
+#: spans are not collected, or — for a cell streaming its own pass —
+#: inside the measuring worker, whose spans ``_emit_shard`` adopts; and
+#: nowhere at all on a warm trace store.
+NONDETERMINISTIC_CATS = frozenset({"harness", "core"})
 
 #: Label for spans with no ``platform`` attribute anywhere above them.
 UNATTRIBUTED = "(unattributed)"
@@ -175,7 +177,7 @@ class SpanAggregate:
     def to_dict(self, *, deterministic_only: bool = False) -> Dict[str, Any]:
         """Sorted, canonical JSON-able form.
 
-        With ``deterministic_only`` the harness/fault/core categories and
+        With ``deterministic_only`` the harness/core categories and
         all wall-clock fields are dropped: what remains is a pure function
         of the measured cells, byte-identical between ``--jobs 1`` and
         ``--jobs N`` (asserted by the aggregation-determinism tests).

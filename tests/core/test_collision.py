@@ -13,6 +13,7 @@ from repro.core.collision import (
     earliest_critical,
     pair_interval,
 )
+from repro.core.types import FleetState
 
 from ..conftest import make_two_aircraft
 
@@ -142,6 +143,18 @@ class TestDetect:
         detect(fleet)
         assert fleet.time_till[0] == 0.0
         assert fleet.col[0] == 1
+
+    @pytest.mark.parametrize("mode", list(DetectionMode))
+    def test_equal_times_pick_the_smallest_partner_id(self, mode):
+        # Three aircraft already inside one another's bands: every
+        # partner is at t_eff = 0, so each takes its smallest-id partner.
+        fleet = FleetState.empty(3)
+        fleet.x[:] = [0.0, 1.0, -1.0]
+        fleet.dx[:] = 0.01
+        fleet.alt[:] = 10_000.0
+        detect(fleet, mode)
+        assert fleet.col_with.tolist() == [1, 0, 0]
+        assert fleet.time_till.tolist() == [0.0, 0.0, 0.0]
 
     def test_symmetric(self):
         fleet = make_two_aircraft(x0=0.0, dx0=0.05, x1=20.0, dx1=-0.05)

@@ -1,11 +1,14 @@
-"""Differential wall for the sweepline/grid-hash candidate pruners.
+"""Differential wall for the functional pass's candidate selection.
 
-The contract under test is absolute: ``detect_pruned``, ``resolve_pruned``
-and ``correlate(pruned=True)`` must be **bit-identical** to the
-brute-force passes — every float compared through its uint64 bit
+The contract under test is absolute: the in-place gated passes
+(``detect``, ``resolve``, ``correlate``) and the sweepline pruners
+(``detect_pruned``, ``resolve_pruned``, ``correlate(pruned=True)``) must
+be **bit-identical** to the dense all-pairs reference in
+``dense_reference.py`` — every float compared through its uint64 bit
 pattern, every stats field equal, on realistic fleets and on
 hypothesis-generated adversarial ones whose altitudes sit one ulp from
-the 1000 ft gate.  See docs/performance.md ("Large-n regime").
+the 1000 ft gate and whose radar reports sit one ulp from a gate or
+grid-cell edge.  See docs/performance.md ("Large-n regime").
 """
 
 import numpy as np
@@ -14,7 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import constants as C
-from repro.core.collision import DetectionMode, detect, detect_chunk_rows
+from repro.core import tracking
+from repro.core.collision import (
+    DetectionMode,
+    conflict_row,
+    detect,
+    detect_chunk_rows,
+)
 from repro.core.radar import generate_radar_frame
 from repro.core.resolution import detect_and_resolve, resolve
 from repro.core.setup import setup_flight
@@ -28,9 +37,19 @@ from repro.core.sweepline import (
     resolve_pruning,
 )
 from repro.core.tracking import correlate
-from repro.core.types import FleetState
+from repro.core.types import FleetState, RadarFrame
+
+from . import dense_reference as dense
 
 MODES = (DetectionMode.SIGNED, DetectionMode.PAPER_ABS)
+
+#: The two implementations of each task that every differential test
+#: compares with the dense reference: the in-place gated pass, then the
+#: sweepline pruner.
+DETECT = (detect, detect_pruned)
+RESOLVE = ((detect, resolve), (detect_pruned, resolve_pruned))
+FUSED = (detect_and_resolve, detect_and_resolve_pruned)
+CORRELATE = (correlate, lambda fleet, frame: correlate(fleet, frame, pruned=True))
 
 
 def bits(a: np.ndarray) -> np.ndarray:
@@ -131,21 +150,22 @@ class TestDetectDifferential:
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("n,seed", [(1, 2018), (64, 7), (193, 2018), (960, 2018)])
     def test_bit_identical_to_detect(self, mode, n, seed):
-        brute = setup_flight(n, seed)
-        pruned = setup_flight(n, seed)
-        sa = detect(brute, mode)
-        sb = detect_pruned(pruned, mode)
-        assert_fleet_bits_equal(snapshot(brute), snapshot(pruned))
-        assert_detection_stats_equal(sa, sb)
+        ref = setup_flight(n, seed)
+        sa = dense.detect(ref, mode)
         assert sa.pairs_checked == n * (n - 1)
+        for run in DETECT:
+            got = setup_flight(n, seed)
+            sb = run(got, mode)
+            assert_fleet_bits_equal(snapshot(ref), snapshot(got))
+            assert_detection_stats_equal(sa, sb)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_tiny_blocks_do_not_change_results(self, mode):
-        brute = setup_flight(193, 2018)
+        ref = setup_flight(193, 2018)
         pruned = setup_flight(193, 2018)
-        sa = detect(brute, mode)
+        sa = dense.detect(ref, mode)
         sb = detect_pruned(pruned, mode, block_cells=1)
-        assert_fleet_bits_equal(snapshot(brute), snapshot(pruned))
+        assert_fleet_bits_equal(snapshot(ref), snapshot(pruned))
         assert_detection_stats_equal(sa, sb)
 
 
@@ -153,67 +173,72 @@ class TestResolveDifferential:
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("n,seed", [(64, 2018), (960, 2018), (960, 7)])
     def test_bit_identical_to_resolve(self, mode, n, seed):
-        brute = setup_flight(n, seed)
-        pruned = setup_flight(n, seed)
-        detect(brute, mode)
-        detect_pruned(pruned, mode)
-        sa = resolve(brute, mode)
-        sb = resolve_pruned(pruned, mode)
-        assert_fleet_bits_equal(snapshot(brute), snapshot(pruned))
-        assert_resolution_stats_equal(sa, sb)
+        ref = setup_flight(n, seed)
+        dense.detect(ref, mode)
+        sa = dense.resolve(ref, mode)
+        for run_detect, run_resolve in RESOLVE:
+            got = setup_flight(n, seed)
+            run_detect(got, mode)
+            sb = run_resolve(got, mode)
+            assert_fleet_bits_equal(snapshot(ref), snapshot(got))
+            assert_resolution_stats_equal(sa, sb)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_fused_pass_matches(self, mode):
-        brute = setup_flight(480, 2018)
-        pruned = setup_flight(480, 2018)
-        da, ra = detect_and_resolve(brute, mode)
-        db, rb = detect_and_resolve_pruned(pruned, mode)
-        assert_fleet_bits_equal(snapshot(brute), snapshot(pruned))
-        assert_detection_stats_equal(da, db)
-        assert_resolution_stats_equal(ra, rb)
+        ref = setup_flight(480, 2018)
+        da, ra = dense.detect_and_resolve(ref, mode)
+        for run in FUSED:
+            got = setup_flight(480, 2018)
+            db, rb = run(got, mode)
+            assert_fleet_bits_equal(snapshot(ref), snapshot(got))
+            assert_detection_stats_equal(da, db)
+            assert_resolution_stats_equal(ra, rb)
 
 
 class TestTrackingDifferential:
     @pytest.mark.parametrize("n,seed", [(64, 2018), (480, 7), (960, 2018)])
     def test_grid_hash_bit_identical(self, n, seed):
         fa = setup_flight(n, seed)
-        fb = setup_flight(n, seed)
         ra = generate_radar_frame(fa, seed, 0)
-        rb = generate_radar_frame(fb, seed, 0)
-        sa = correlate(fa, ra)
-        sb = correlate(fb, rb, pruned=True)
-        assert_fleet_bits_equal(snapshot(fa), snapshot(fb))
-        assert np.array_equal(ra.match_with, rb.match_with)
-        assert_tracking_stats_equal(sa, sb)
+        sa = dense.correlate(fa, ra)
+        for run in CORRELATE:
+            fb = setup_flight(n, seed)
+            rb = generate_radar_frame(fb, seed, 0)
+            sb = run(fb, rb)
+            assert_fleet_bits_equal(snapshot(fa), snapshot(fb))
+            assert np.array_equal(ra.match_with, rb.match_with)
+            assert_tracking_stats_equal(sa, sb)
 
     def test_with_dropout_and_clutter(self):
-        fa = setup_flight(480, 2018)
-        fb = setup_flight(480, 2018)
-        for period in range(2):
-            ra = generate_radar_frame(fa, 2018, period, dropout=0.1, clutter=32)
-            rb = generate_radar_frame(fb, 2018, period, dropout=0.1, clutter=32)
-            sa = correlate(fa, ra)
-            sb = correlate(fb, rb, pruned=True)
-            assert_fleet_bits_equal(snapshot(fa), snapshot(fb))
-            assert_tracking_stats_equal(sa, sb)
+        for run in CORRELATE:
+            fa = setup_flight(480, 2018)
+            fb = setup_flight(480, 2018)
+            for period in range(2):
+                ra = generate_radar_frame(fa, 2018, period, dropout=0.1, clutter=32)
+                rb = generate_radar_frame(fb, 2018, period, dropout=0.1, clutter=32)
+                sa = dense.correlate(fa, ra)
+                sb = run(fb, rb)
+                assert_fleet_bits_equal(snapshot(fa), snapshot(fb))
+                assert_tracking_stats_equal(sa, sb)
 
 
 class TestMultiPeriodDifferential:
-    """The pruners stay bit-identical when their outputs feed the next
+    """The passes stay bit-identical when their outputs feed the next
     period — errors would compound, so none may exist.  The loop mirrors
     :func:`repro.core.trace.stream_trace`'s measurement protocol."""
 
     @pytest.mark.parametrize("mode", MODES)
     def test_three_periods_then_collision(self, mode):
-        fa = setup_flight(480, 2018)
-        fb = setup_flight(480, 2018)
-        for period in range(3):
-            correlate(fa, generate_radar_frame(fa, 2018, period))
-            correlate(fb, generate_radar_frame(fb, 2018, period), pruned=True)
+        for run_correlate, run_fused in zip(CORRELATE, FUSED):
+            fa = setup_flight(480, 2018)
+            fb = setup_flight(480, 2018)
+            for period in range(3):
+                dense.correlate(fa, generate_radar_frame(fa, 2018, period))
+                run_correlate(fb, generate_radar_frame(fb, 2018, period))
+                assert_fleet_bits_equal(snapshot(fa), snapshot(fb))
+            dense.detect_and_resolve(fa, mode)
+            run_fused(fb, mode)
             assert_fleet_bits_equal(snapshot(fa), snapshot(fb))
-        detect_and_resolve(fa, mode)
-        detect_and_resolve_pruned(fb, mode)
-        assert_fleet_bits_equal(snapshot(fa), snapshot(fb))
 
 
 def adversarial_fleet(alts, coords):
@@ -236,14 +261,62 @@ _base = st.sampled_from([4000.0, 17000.0, 29000.5])
 _ulps = st.integers(min_value=-3, max_value=3)
 
 
-@st.composite
-def boundary_altitude(draw):
-    level = draw(_base) + draw(st.sampled_from([0.0, C.ALTITUDE_SEPARATION_FT]))
-    ulps = draw(_ulps)
-    value = level
+def nudge(value: float, ulps: int) -> float:
+    """``value`` moved ``ulps`` representable doubles up (or down)."""
     for _ in range(abs(ulps)):
         value = np.nextafter(value, np.inf if ulps > 0 else -np.inf)
     return float(value)
+
+
+@st.composite
+def boundary_altitude(draw):
+    level = draw(_base) + draw(st.sampled_from([0.0, C.ALTITUDE_SEPARATION_FT]))
+    return nudge(level, draw(_ulps))
+
+
+@st.composite
+def gate_scene(draw):
+    """Expected positions and radar reports 0..3 ulps either side of a
+    gate edge (expected +- g) or a grid-cell edge (k * 2g) — where a
+    grid hash that missed a neighbour cell, or tested the gate on other
+    operands than the dense scan, would lose or gain a pair."""
+    g = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    edge = st.integers(min_value=-32, max_value=32).map(lambda k: k * 2.0 * g)
+    free = st.floats(min_value=-130.0, max_value=130.0, allow_nan=False)
+
+    def expected_coord():
+        return nudge(draw(st.one_of(edge, free)), draw(_ulps))
+
+    n_planes = draw(st.integers(min_value=1, max_value=8))
+    ex = [expected_coord() for _ in range(n_planes)]
+    ey = [expected_coord() for _ in range(n_planes)]
+
+    def report_coord(around: float) -> float:
+        offset = draw(st.sampled_from([-g, 0.0, g]))
+        return nudge(draw(st.one_of(st.just(around + offset), edge)), draw(_ulps))
+
+    n_radars = draw(st.integers(min_value=1, max_value=10))
+    targets = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=n_planes - 1),
+            min_size=n_radars,
+            max_size=n_radars,
+        )
+    )
+    fleet = FleetState.empty(n_planes)
+    fleet.expected_x[:] = ex
+    fleet.expected_y[:] = ey
+    frame = RadarFrame.empty(n_radars)
+    frame.rx[:] = [report_coord(ex[t]) for t in targets]
+    frame.ry[:] = [report_coord(ey[t]) for t in targets]
+    plane_mask = np.array(
+        draw(st.lists(st.booleans(), min_size=n_planes, max_size=n_planes))
+    )
+    radar_ids = np.array(
+        sorted(draw(st.sets(st.integers(min_value=0, max_value=n_radars - 1)))),
+        dtype=np.int64,
+    )
+    return radar_ids, frame, fleet, plane_mask, g
 
 
 _coord = st.tuples(
@@ -265,12 +338,13 @@ class TestAdversarialProperties:
         coords = data.draw(
             st.lists(_coord, min_size=len(alts), max_size=len(alts))
         )
-        brute = adversarial_fleet(alts, coords)
-        pruned = adversarial_fleet(alts, coords)
-        sa = detect(brute, mode)
-        sb = detect_pruned(pruned, mode)
-        assert_fleet_bits_equal(snapshot(brute), snapshot(pruned))
-        assert_detection_stats_equal(sa, sb)
+        ref = adversarial_fleet(alts, coords)
+        sa = dense.detect(ref, mode)
+        for run in DETECT:
+            got = adversarial_fleet(alts, coords)
+            sb = run(got, mode)
+            assert_fleet_bits_equal(snapshot(ref), snapshot(got))
+            assert_detection_stats_equal(sa, sb)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -282,14 +356,46 @@ class TestAdversarialProperties:
         coords = data.draw(
             st.lists(_coord, min_size=len(alts), max_size=len(alts))
         )
-        brute = adversarial_fleet(alts, coords)
-        pruned = adversarial_fleet(alts, coords)
-        detect(brute, mode)
-        detect_pruned(pruned, mode)
-        sa = resolve(brute, mode)
-        sb = resolve_pruned(pruned, mode)
-        assert_fleet_bits_equal(snapshot(brute), snapshot(pruned))
-        assert_resolution_stats_equal(sa, sb)
+        ref = adversarial_fleet(alts, coords)
+        dense.detect(ref, mode)
+        sa = dense.resolve(ref, mode)
+        for run_detect, run_resolve in RESOLVE:
+            got = adversarial_fleet(alts, coords)
+            run_detect(got, mode)
+            sb = run_resolve(got, mode)
+            assert_fleet_bits_equal(snapshot(ref), snapshot(got))
+            assert_resolution_stats_equal(sa, sb)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(boundary_altitude(), min_size=2, max_size=12),
+        st.data(),
+        st.sampled_from(MODES),
+    )
+    def test_conflict_row_matches_dense_on_ulp_boundaries(self, alts, data, mode):
+        coords = data.draw(
+            st.lists(_coord, min_size=len(alts), max_size=len(alts))
+        )
+        _, _, trial_dx, trial_dy = data.draw(_coord)
+        fleet = adversarial_fleet(alts, coords)
+        for i in range(fleet.n):
+            for dxi, dyi in ((fleet.dx[i], fleet.dy[i]), (trial_dx, trial_dy)):
+                want, want_t = dense.conflict_row(fleet, i, dxi, dyi, mode)
+                got, got_t = conflict_row(fleet, i, dxi, dyi, mode)
+                assert np.array_equal(want, got)
+                # t_eff is the dense value inside the band, +inf outside.
+                band = np.abs(fleet.alt - fleet.alt[i]) < C.ALTITUDE_SEPARATION_FT
+                band[i] = False
+                assert np.array_equal(bits(want_t[band]), bits(got_t[band]))
+                assert np.all(got_t[~band] == np.inf)
+
+    @settings(max_examples=200, deadline=None)
+    @given(gate_scene())
+    def test_grid_hash_pairs_on_ulp_boundaries(self, scene):
+        want_r, want_p = dense._candidate_pairs(*scene)
+        got_r, got_p = tracking._candidate_pairs(*scene)
+        assert np.array_equal(want_r, got_r)
+        assert np.array_equal(want_p, got_p)
 
 
 class TestAdaptiveChunk:

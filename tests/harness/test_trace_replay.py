@@ -116,6 +116,18 @@ class TestTracePolicy:
         assert r.value("atm_trace_requests", source="stream") == 1
         assert r.value("atm_trace_requests", source="compute") is None
 
+    def test_trace_true_uses_the_shared_trace(self):
+        cell = dict(periods=2, cache=False)
+        ambient = measure_platform("cuda:gtx-880m", 96, **cell)
+        _TRACE_MEMO.clear()
+        # True means the shared trace even under an ambient policy that is off.
+        with sweep_options(trace=False), recording() as r:
+            shared = measure_platform("cuda:gtx-880m", 96, trace=True, **cell)
+        assert canon(shared) == canon(ambient)
+        assert len(_TRACE_MEMO) == 1
+        assert r.value("atm_trace_requests", source="compute") == 1
+        assert r.value("atm_trace_requests", source="stream") is None
+
     def test_mismatched_trace_is_rejected(self):
         trace = compute_trace(96, periods=2)
         with pytest.raises(ValueError):

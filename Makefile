@@ -4,7 +4,7 @@
 PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test test-parallel test-faults test-service test-service-chaos test-search docs-check bench bench-smoke bench-large bench-large-smoke profile report dashboard serve all
+.PHONY: test test-parallel test-faults test-service test-service-chaos test-search docs-check bench bench-smoke bench-large bench-large-smoke perf-check profile report dashboard serve all
 
 ## the tier-1 suite (unit + integration + property tests)
 test:
@@ -55,9 +55,10 @@ bench-smoke:
 		--out /tmp/BENCH_trace_engine.json \
 		--baseline benchmarks/baselines/bench_smoke.json
 
-## the continental-scale record (not kept in the repository):
-## brute-vs-pruned calibration plus the five-platform deadline table at
-## n=10^6 (docs/performance.md, "Large-n regime"); slow
+## the continental-scale record (not kept in the repository): a
+## calibration of the gated in-place pass against the sweepline plus the
+## five-platform deadline table at n=10^6 (docs/performance.md,
+## "Large-n regime"); slow
 bench-large:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_large_n.py \
 		--out BENCH_large_n.json
@@ -70,6 +71,22 @@ bench-large-smoke:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_large_n.py --n 100000 \
 		--out /tmp/bench_large_b.json --table-out /tmp/bench_large_table_b.json
 	cmp /tmp/bench_large_table_a.json /tmp/bench_large_table_b.json
+
+## the exact check a performance change owes (docs/performance.md,
+## "Repository benchmark"): one traced op of report and large_n at seeds
+## 2018 and 2019 must reproduce the output digests and per-layer call
+## counts pinned in perfbench/pins.json; fails unless every run ends
+## "correct": true with no failed op.  Not a CI job: the pins are only
+## known to reproduce on the CPUs and numpy builds they were taken on.
+perf-check:
+	@for w in report large_n; do for s in 2018 2019; do \
+		$(PYTHON) perfbench/run.py --workload $$w --seed $$s --seconds 1 --trace 1 \
+		| $(PYTHON) -c 'import json, sys; lines = sys.stdin.read().splitlines(); \
+			[print(line) for line in lines if line.startswith("CHECK FAILED")]; \
+			r = json.loads(lines[-1]); ok = r["correct"] is True and r["failed"] == 0; \
+			print("perf-check", *sys.argv[1:], "ok" if ok else "FAILED"); sys.exit(not ok)' \
+			$$w $$s || exit 1; \
+	done; done
 
 ## example profile: span tree for fig4 on the Titan X
 profile:

@@ -42,7 +42,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--calibration-n", type=int, default=7680,
-        help="fleet size for the brute-vs-pruned calibration stage",
+        help="fleet size for the in-place-vs-sweepline calibration stage",
     )
     parser.add_argument("--seed", type=int, default=2018)
     parser.add_argument("--periods", type=int, default=3)

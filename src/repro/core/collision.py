@@ -42,12 +42,12 @@ __all__ = [
     "axis_interval_signed",
     "axis_interval_paper_abs",
     "pair_interval",
-    "conflict_row",
     "detect",
     "detect_chunk_rows",
 ]
 
 _INF = np.inf
+_F64 = np.float64
 
 #: Bytes per pair cell that size one detect() chunk: the all-pairs
 #: kernel kept about 12 float64 temporaries live per cell (gaps,
@@ -112,18 +112,8 @@ def axis_interval_signed(gap, rel_v, band: float) -> Tuple[np.ndarray, np.ndarra
     ``rel_v == 0`` yields (-inf, +inf) when already inside the band and
     an empty window otherwise.
     """
-    gap = np.asarray(gap, dtype=np.float64)
-    rel_v = np.asarray(rel_v, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t1 = (-gap - band) / rel_v
-        t2 = (-gap + band) / rel_v
-    lo = np.minimum(t1, t2)
-    hi = np.maximum(t1, t2)
-    static = rel_v == 0.0
-    inside = np.abs(gap) < band
-    lo = np.where(static, np.where(inside, -_INF, _INF), lo)
-    hi = np.where(static, np.where(inside, _INF, -_INF), hi)
-    return lo, hi
+        return _signed(np.asarray(gap, _F64), np.asarray(rel_v, _F64), band)
 
 
 def axis_interval_paper_abs(gap, rel_v, band: float) -> Tuple[np.ndarray, np.ndarray]:
@@ -132,14 +122,36 @@ def axis_interval_paper_abs(gap, rel_v, band: float) -> Tuple[np.ndarray, np.nda
     ``min = (|gap| - band) / |rel_v|`` (clamped at 0),
     ``max = (|gap| + band) / |rel_v|``.
     """
-    agap = np.abs(np.asarray(gap, dtype=np.float64))
-    av = np.abs(np.asarray(rel_v, dtype=np.float64))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        lo = np.maximum(agap - band, 0.0) / av
-        hi = (agap + band) / av
-    static = av == 0.0
-    inside = agap < band
-    lo = np.where(static, np.where(inside, 0.0, _INF), lo)
+        return _paper_abs(np.asarray(gap, _F64), np.asarray(rel_v, _F64), band)
+
+
+def _signed(gap, rel_v, band: float):
+    neg = -gap
+    t1 = (neg - band) / rel_v
+    t2 = (neg + band) / rel_v
+    del neg  # one operand-sized array fewer live at the peak below
+    return _static(np.minimum(t1, t2), np.maximum(t1, t2), gap, rel_v, band, -_INF)
+
+
+def _paper_abs(gap, rel_v, band: float):
+    agap = np.abs(gap)
+    av = np.abs(rel_v)
+    lo = np.maximum(agap - band, 0.0) / av
+    hi = (agap + band) / av
+    return _static(lo, hi, agap, av, band, 0.0)
+
+
+def _static(lo, hi, gap, rel_v, band: float, lo_inside: float):
+    """Windows of the pairs with no relative motion on this axis: from
+    ``lo_inside`` to +inf when already inside the band, empty otherwise.
+    When no relative velocity is exactly zero this changes nothing, so
+    it is skipped."""
+    if rel_v.all():
+        return lo, hi
+    static = rel_v == 0.0
+    inside = np.abs(gap) < band
+    lo = np.where(static, np.where(inside, lo_inside, _INF), lo)
     hi = np.where(static, np.where(inside, _INF, -_INF), hi)
     return lo, hi
 
@@ -153,11 +165,10 @@ def pair_interval(
     band: float = C.COLLISION_BAND_TOTAL_NM,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Combined (time_min, time_max) window per Eqs. (5)-(6)."""
-    axis = (
-        axis_interval_signed if mode is DetectionMode.SIGNED else axis_interval_paper_abs
-    )
-    x_lo, x_hi = axis(gap_x, rel_vx, band)
-    y_lo, y_hi = axis(gap_y, rel_vy, band)
+    axis = _signed if mode is DetectionMode.SIGNED else _paper_abs
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x_lo, x_hi = axis(np.asarray(gap_x, _F64), np.asarray(rel_vx, _F64), band)
+        y_lo, y_hi = axis(np.asarray(gap_y, _F64), np.asarray(rel_vy, _F64), band)
     return np.maximum(x_lo, y_lo), np.minimum(x_hi, y_hi)
 
 
@@ -173,67 +184,18 @@ def _window(t_lo, t_hi, mode: DetectionMode) -> Tuple[np.ndarray, np.ndarray]:
     return t_eff, open_window
 
 
-def conflict_row(
-    fleet: FleetState,
-    i: int,
-    dxi: float,
-    dyi: float,
-    mode: DetectionMode = DetectionMode.SIGNED,
-    *,
-    horizon: float = C.PROJECTION_HORIZON_PERIODS,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Conflict test of aircraft ``i`` (with trial velocity) vs everyone.
+def _any_critical(gap_x, gap_y, rel_vx, rel_vy, mode: DetectionMode) -> bool:
+    """Whether any of these pairs is a critical conflict: its window is
+    still open and starts within ``TIME_TILL_SAFE_PERIODS`` (which lies
+    inside the projection horizon, so the horizon test is implied).
 
-    Used both by detection (with the committed velocity) and by Task 3
-    (with a rotated trial velocity).  Returns ``(conflict, t_eff)`` over
-    all aircraft: ``conflict`` is the boolean mask (False at j == i and
-    outside the altitude band) and ``t_eff`` the effective first-overlap
-    time (clamped >= 0 in SIGNED mode, as defined by the paper's time
-    axis starting "now").  The pair mathematics runs only on ``i``'s
-    in-band partners, gathered first; every other entry of ``t_eff``
-    is ``+inf``.
+    The one question Task 3 asks of an aircraft at a trial velocity;
+    the operands are its gathered partners' gaps and relative
+    velocities.  Always exactly one :func:`pair_interval` call.
     """
-    near_alt = np.abs(fleet.alt - fleet.alt[i]) < C.ALTITUDE_SEPARATION_FT
-    near_alt[i] = False
-    j = np.flatnonzero(near_alt)
-    t_lo, t_hi = pair_interval(
-        fleet.x[j] - fleet.x[i],
-        fleet.y[j] - fleet.y[i],
-        fleet.dx[j] - dxi,
-        fleet.dy[j] - dyi,
-        mode,
-    )
-    t_band, open_window = _window(t_lo, t_hi, mode)
-
-    conflict = np.zeros(fleet.n, dtype=bool)
-    conflict[j] = open_window & (t_band < horizon)
-    t_eff = np.full(fleet.n, _INF)
-    t_eff[j] = t_band
-    return conflict, t_eff
-
-
-def earliest_critical(
-    fleet: FleetState,
-    i: int,
-    dxi: float,
-    dyi: float,
-    mode: DetectionMode = DetectionMode.SIGNED,
-    *,
-    threshold: float = C.TIME_TILL_SAFE_PERIODS,
-) -> Optional[Tuple[int, float]]:
-    """Earliest critical conflict of aircraft ``i`` at a given velocity.
-
-    Returns ``(partner_id, t_eff)`` of the soonest conflict with
-    ``t_eff < threshold``, ties broken toward the smaller partner id, or
-    ``None`` when the path is critically clear.
-    """
-    conflict, t_eff = conflict_row(fleet, i, dxi, dyi, mode)
-    critical = conflict & (t_eff < threshold)
-    if not np.any(critical):
-        return None
-    t = np.where(critical, t_eff, _INF)
-    j = int(np.argmin(t))  # argmin returns the first (smallest id) minimum
-    return j, float(t[j])
+    t_lo, t_hi = pair_interval(gap_x, gap_y, rel_vx, rel_vy, mode)
+    t_eff, open_window = _window(t_lo, t_hi, mode)
+    return bool(np.any(open_window & (t_eff < C.TIME_TILL_SAFE_PERIODS)))
 
 
 def detect(

@@ -26,8 +26,8 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from . import constants as C
-from .collision import DetectionMode, DetectionStats, detect, earliest_critical
-from .geometry import rotate_velocity, trial_angle_deg
+from .collision import DetectionMode, DetectionStats, _any_critical, detect
+from .geometry import trial_angle_deg
 from .types import FleetState
 
 __all__ = ["ResolutionStats", "resolve", "detect_and_resolve"]
@@ -55,32 +55,68 @@ class ResolutionStats:
     attempts: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
 
 
+#: ``(cos, sin)`` of each trial heading's rotation, from the same scalar
+#: expressions as :func:`~repro.core.geometry.rotate_velocity`.
+_TRIAL_TURNS = tuple(
+    (float(np.cos(np.deg2rad(angle))), float(np.sin(np.deg2rad(angle))))
+    for angle in map(trial_angle_deg, range(C.RESOLUTION_MAX_TRIALS))
+)
+
+#: ``oracle(i)`` -> aircraft ``i``'s checker ``exists(dxi, dyi)``.
+Oracle = Callable[[int], Callable[[float, float], bool]]
+
+
+def _in_place_oracle(fleet: FleetState, mode: DetectionMode) -> Oracle:
+    """The default existence oracle: each checker gathers aircraft
+    ``i``'s in-band partners and their gaps once, since Task 3 never
+    moves an aircraft or changes its altitude; only the velocities,
+    which earlier commits of the same pass change, are gathered on each
+    check."""
+
+    def oracle(i: int):
+        near_alt = np.abs(fleet.alt - fleet.alt[i]) < C.ALTITUDE_SEPARATION_FT
+        near_alt[i] = False
+        j = np.flatnonzero(near_alt)
+        gap_x = fleet.x[j] - fleet.x[i]
+        gap_y = fleet.y[j] - fleet.y[i]
+
+        def exists(dxi: float, dyi: float) -> bool:
+            return _any_critical(
+                gap_x, gap_y, fleet.dx[j] - dxi, fleet.dy[j] - dyi, mode
+            )
+
+        return exists
+
+    return oracle
+
+
 def resolve(
     fleet: FleetState,
     mode: DetectionMode = DetectionMode.SIGNED,
     *,
-    critical_exists: Optional[Callable[[int, float, float], bool]] = None,
+    oracle: Optional[Oracle] = None,
 ) -> ResolutionStats:
     """Run Task 3 over every aircraft flagged by the preceding Task 2.
 
     The state machine only ever consumes the *existence* of a critical
-    conflict (``earliest_critical(...) is None`` checks), never the
-    partner or time.  ``critical_exists(i, dxi, dyi)`` lets a caller
-    substitute an equivalent existence oracle — the pruned sort-sweep in
-    :mod:`repro.core.sweepline` uses this so both implementations share
-    one trial loop and cannot drift apart.
+    conflict, never the partner or time.  It asks ``oracle(i)`` once per
+    flagged aircraft for a checker and calls ``exists(dxi, dyi)`` for
+    the re-verification and for each trial heading, so whatever the
+    checker gathers lives for that aircraft's trials only.  The default
+    gathers in place; the pruned sort-sweep in
+    :mod:`repro.core.sweepline` passes its own oracle, so both
+    implementations share one trial loop and cannot drift apart.
     """
     stats = ResolutionStats()
     stats.attempts = np.zeros(fleet.n, dtype=np.int64)
     flagged = np.nonzero(fleet.col == 1)[0]
-
-    if critical_exists is None:
-        def critical_exists(i: int, dxi: float, dyi: float) -> bool:
-            return earliest_critical(fleet, i, dxi, dyi, mode) is not None
+    if oracle is None:
+        oracle = _in_place_oracle(fleet, mode)
 
     for i in flagged:
         i = int(i)
-        if not critical_exists(i, float(fleet.dx[i]), float(fleet.dy[i])):
+        exists = oracle(i)
+        if not exists(float(fleet.dx[i]), float(fleet.dy[i])):
             # Partner already turned away; clear the stale flag.
             stats.already_clear += 1
             fleet.col[i] = 0
@@ -91,13 +127,13 @@ def resolve(
         stats.needed_resolution += 1
         base_dx, base_dy = float(fleet.dx[i]), float(fleet.dy[i])
         committed = False
-        for attempt in range(C.RESOLUTION_MAX_TRIALS):
-            angle = trial_angle_deg(attempt)
-            trial_dx, trial_dy = rotate_velocity(base_dx, base_dy, angle)
+        for attempt, (cos_t, sin_t) in enumerate(_TRIAL_TURNS):
+            trial_dx = base_dx * cos_t - base_dy * sin_t
+            trial_dy = base_dx * sin_t + base_dy * cos_t
             fleet.batdx[i], fleet.batdy[i] = trial_dx, trial_dy
             stats.trials_evaluated += 1
             stats.attempts[i] += 1
-            if not critical_exists(i, float(trial_dx), float(trial_dy)):
+            if not exists(trial_dx, trial_dy):
                 fleet.dx[i], fleet.dy[i] = trial_dx, trial_dy
                 fleet.col[i] = 0
                 fleet.time_till[i] = C.TIME_TILL_SAFE_PERIODS

@@ -3,12 +3,13 @@
 The in-place Task-2 kernel (:func:`repro.core.collision.detect`) runs
 the pair mathematics only on the cells inside the altitude band, but it
 still evaluates that gate on all ``n * (n - 1)`` ordered pairs, and
-every Task-3 existence check (:func:`~repro.core.collision.conflict_row`)
-scans all ``n`` altitudes; the functional simulation therefore costs
-O(n^2) even though the *cost ledgers* are what actually charge the
-paper's algorithms.  At continental fleet sizes (n = 10^6) that is
-infeasible, so this module prunes the candidate set before any per-pair
-work runs — **without changing a single output bit**:
+Task 3 (:func:`repro.core.resolution.resolve`) scans all ``n``
+altitudes to gather each flagged aircraft's partners; the functional
+simulation therefore costs O(n^2) even though the *cost ledgers* are
+what actually charge the paper's algorithms.  At continental fleet
+sizes (n = 10^6) that is infeasible, so this module prunes the
+candidate set before any per-pair work runs — **without changing a
+single output bit**:
 
 * **Altitude-band gate** (the sweep line).  Every conflict requires
   ``|fl(alt_j - alt_i)| < 1000 ft``.  Because IEEE-754 negation is exact
@@ -24,17 +25,18 @@ work runs — **without changing a single output bit**:
   exactly the same float operands as the in-place kernel.
 
 * **Per-axis time-window sort-sweep** for the resolution re-checks.
-  Task 3 only consumes the *existence* of a critical conflict
-  (:func:`~repro.core.resolution.resolve` None-checks
-  ``earliest_critical``), and a critical conflict must start within 300
-  periods, so a partner must sit within
+  Task 3 only consumes the *existence* of a critical conflict (each
+  flagged aircraft's checker answers ``exists(dxi, dyi)`` for its
+  re-verification and its trial headings), and a critical conflict
+  must start within 300 periods, so a partner must sit within
   ``band + (s_i + s_max) * 300`` nm on **each** axis (a conservative
   bound with a 1e-9 relative slack that dwarfs the ~1e-15 accumulated
   float rounding; the 20-minute horizon itself prunes nothing — maximum
-  reach over 2400 periods is 200 nm on a 256 nm airfield).  Candidates
-  surviving the altitude window plus the per-axis boxes are then tested
-  with the exact :func:`~repro.core.collision.pair_interval` math, so
-  the existence answer is bit-for-bit the in-place one.
+  reach over 2400 periods is 200 nm on a 256 nm airfield).  The checker
+  slices the aircraft's altitude window and its gaps once; each check
+  boxes them at the trial speed, and the survivors are tested with the
+  exact :func:`~repro.core.collision.pair_interval` math, so the
+  existence answer is bit-for-bit the in-place one.
 
 Task 1 needs no pruner here: its grid-hash candidate generator
 (:mod:`repro.core.tracking`) runs at every fleet size, and under pruning
@@ -55,13 +57,19 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Any, Optional, Tuple
+from typing import Any, Optional
 
 import numpy as np
 
 from . import constants as C
 from .bands import band_bounds
-from .collision import DetectionMode, DetectionStats, _window, pair_interval
+from .collision import (
+    DetectionMode,
+    DetectionStats,
+    _any_critical,
+    _window,
+    pair_interval,
+)
 from .types import FleetState
 
 __all__ = [
@@ -272,57 +280,58 @@ def detect_pruned(
     return stats
 
 
-def _has_critical(
+def _pruned_oracle(
     fleet: FleetState,
     index: AltitudeBandIndex,
-    i: int,
-    dxi: float,
-    dyi: float,
     mode: DetectionMode,
-    threshold: float = C.TIME_TILL_SAFE_PERIODS,
-) -> Tuple[bool, int]:
-    """Pruned existence test: does ``i`` (at the given velocity) have a
-    critical conflict?  Returns ``(answer, candidates_tested)``.
+    counters: dict,
+):
+    """Pruned existence oracle for :func:`~repro.core.resolution.resolve`.
 
-    Equivalent to ``earliest_critical(...) is not None``: the altitude
-    window is exact; the per-axis boxes are conservative (a critical
-    conflict needs ``|gap| <~ band + |rel_v| * threshold`` per axis, and
-    ``|rel_v| <= s_i + s_max``); survivors get the exact pair test on
-    the same float operands as ``conflict_row``.
+    Each checker slices aircraft ``i``'s exact altitude window once —
+    partner ids, gaps, absolute gaps and the not-self mask; positions
+    and altitudes are static during Task 3.  Each check then boxes the
+    window conservatively (a critical conflict needs
+    ``|gap| <~ band + |rel_v| * TIME_TILL_SAFE_PERIODS`` per axis, and
+    ``|rel_v| <= s_i + s_max``) and runs the exact pair test on the
+    survivors, with their velocities gathered live, on the same float
+    operands as the in-place checker.  ``counters`` tallies the checks
+    and the partners tested.
     """
-    assert threshold <= C.PROJECTION_HORIZON_PERIODS
-    s, e = int(index.begin[i]), int(index.end[i])
-    xi = float(fleet.x[i])
-    yi = float(fleet.y[i])
-    speed_i = float(np.hypot(dxi, dyi))
-    w = (
-        C.COLLISION_BAND_TOTAL_NM + (speed_i + index.max_speed) * threshold
-    ) * (1.0 + _WINDOW_SLACK)
-    order = index.order
-    tested = 0
-    for cs in range(s, e, _QUERY_CHUNK):
-        ce = min(cs + _QUERY_CHUNK, e)
-        box = (np.abs(index.x_sorted[cs:ce] - xi) < w) & (
-            np.abs(index.y_sorted[cs:ce] - yi) < w
-        )
-        if not box.any():
-            continue
-        cand = order[cs:ce][box]
-        cand = cand[cand != i]
-        if cand.size == 0:
-            continue
-        tested += int(cand.size)
-        gap_x = fleet.x[cand] - xi
-        gap_y = fleet.y[cand] - yi
-        rel_vx = fleet.dx[cand] - dxi
-        rel_vy = fleet.dy[cand] - dyi
-        t_lo, t_hi = pair_interval(gap_x, gap_y, rel_vx, rel_vy, mode)
-        t_eff, open_window = _window(t_lo, t_hi, mode)
-        # threshold <= horizon, so (t_eff < threshold) subsumes the
-        # horizon test; the altitude gate is the window membership.
-        if np.any(open_window & (t_eff < threshold)):
-            return True, tested
-    return False, tested
+
+    def oracle(i: int):
+        s, e = int(index.begin[i]), int(index.end[i])
+        ids = index.order[s:e]
+        gap_x = index.x_sorted[s:e] - float(fleet.x[i])
+        gap_y = index.y_sorted[s:e] - float(fleet.y[i])
+        abs_x, abs_y = np.abs(gap_x), np.abs(gap_y)
+        other = ids != i
+
+        def exists(dxi: float, dyi: float) -> bool:
+            speed_i = float(np.hypot(dxi, dyi))
+            w = (
+                C.COLLISION_BAND_TOTAL_NM
+                + (speed_i + index.max_speed) * C.TIME_TILL_SAFE_PERIODS
+            ) * (1.0 + _WINDOW_SLACK)
+            counters["queries"] += 1
+            for cs in range(0, e - s, _QUERY_CHUNK):
+                ce = cs + _QUERY_CHUNK
+                k = cs + np.flatnonzero(
+                    (abs_x[cs:ce] < w) & (abs_y[cs:ce] < w) & other[cs:ce]
+                )
+                if not k.size:
+                    continue
+                counters["tested"] += int(k.size)
+                cand = ids[k]
+                rel_vx = fleet.dx[cand] - dxi
+                rel_vy = fleet.dy[cand] - dyi
+                if _any_critical(gap_x[k], gap_y[k], rel_vx, rel_vy, mode):
+                    return True
+            return False
+
+        return exists
+
+    return oracle
 
 
 def resolve_pruned(
@@ -335,30 +344,21 @@ def resolve_pruned(
 
     Runs the exact :func:`repro.core.resolution.resolve` state machine
     (same trial order, same commits, same stats) but answers each
-    "does a critical conflict exist?" re-check through the altitude
-    window + per-axis boxes instead of a full ``conflict_row`` sweep.
+    "does a critical conflict exist?" check through the altitude window
+    and per-axis boxes of :func:`_pruned_oracle`.
     """
     from .resolution import resolve
 
     if index is None:
         index = AltitudeBandIndex(fleet)
-    flagged = int(np.count_nonzero(fleet.col == 1))
     counters = {"queries": 0, "tested": 0}
-
-    def critical_exists(i: int, dxi: float, dyi: float) -> bool:
-        answer, tested = _has_critical(fleet, index, i, dxi, dyi, mode)
-        counters["queries"] += 1
-        counters["tested"] += tested
-        return answer
-
-    stats = resolve(fleet, mode, critical_exists=critical_exists)
+    stats = resolve(fleet, mode, oracle=_pruned_oracle(fleet, index, mode, counters))
     _prune_span(
         "resolve",
         fleet.n,
         counters["queries"] * max(0, fleet.n - 1),
         counters["tested"],
     )
-    del flagged
     return stats
 
 

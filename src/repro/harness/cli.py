@@ -483,8 +483,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--large",
         action="store_true",
-        help="run the continental-scale profile instead: brute-vs-pruned"
-        " calibration plus the five-platform deadline table at --large-n"
+        help="run the continental-scale profile instead: a calibration of"
+        " the gated in-place pass against the sweepline, plus the"
+        " five-platform deadline table at --large-n"
         " (writes BENCH_large_n.json unless --out is given)",
     )
     bench.add_argument(
@@ -499,8 +500,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=7680,
         metavar="N",
-        help="fleet size for the brute-vs-pruned calibration stage of"
-        " --large (default 7680)",
+        help="fleet size for the in-place-vs-sweepline calibration stage"
+        " of --large (default 7680)",
     )
     bench.add_argument(
         "--table-out",

@@ -5,10 +5,17 @@ functional pass learned to skip the cells its own masks discard:
 :func:`_candidate_pairs` scans every (radar, aircraft) cell,
 :func:`detect` evaluates the pair mathematics on every ordered pair of
 a chunk before masking, and :func:`conflict_row` evaluates it against
-every aircraft.  The bodies are kept verbatim, so the in-place gated
-passes (``repro.core.tracking`` / ``repro.core.collision``) and the
-sweepline pruners (``repro.core.sweepline``) are compared against an
-implementation that shares none of their candidate selection.
+every aircraft (:func:`earliest_critical` reads its answer off that
+row).  The bodies are kept verbatim, so the in-place gated passes
+(``repro.core.tracking`` / ``repro.core.collision`` /
+``repro.core.resolution``) and the sweepline pruners
+(``repro.core.sweepline``) are compared against an implementation that
+shares none of their candidate selection.
+
+The pair mathematics is frozen here too: :func:`pair_interval` and its
+two axis forms are verbatim copies of the library kernel as it was
+before it was tuned, so a rewrite of the library's ``pair_interval``
+cannot change the oracle along with it.
 
 :func:`resolve` and :func:`correlate` reuse the library's state
 machines — only the existence oracle and the candidate generator are
@@ -24,12 +31,7 @@ import numpy as np
 
 from repro.core import constants as C
 from repro.core import tracking
-from repro.core.collision import (
-    DetectionMode,
-    DetectionStats,
-    detect_chunk_rows,
-    pair_interval,
-)
+from repro.core.collision import DetectionMode, DetectionStats, detect_chunk_rows
 from repro.core.resolution import resolve as _resolve
 from repro.core.types import FleetState, RadarFrame
 
@@ -38,6 +40,62 @@ _INF = np.inf
 #: Radar rows are compared against aircraft in chunks of this many radars
 #: to bound the gate-matrix working set (chunk x n bools).
 _CHUNK = 2048
+
+
+def axis_interval_signed(gap, rel_v, band: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Time window during which ``|gap + rel_v * t| < band`` (one axis).
+
+    Returns (t_lo, t_hi); empty windows come back with t_lo > t_hi.
+    ``rel_v == 0`` yields (-inf, +inf) when already inside the band and
+    an empty window otherwise.
+    """
+    gap = np.asarray(gap, dtype=np.float64)
+    rel_v = np.asarray(rel_v, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t1 = (-gap - band) / rel_v
+        t2 = (-gap + band) / rel_v
+    lo = np.minimum(t1, t2)
+    hi = np.maximum(t1, t2)
+    static = rel_v == 0.0
+    inside = np.abs(gap) < band
+    lo = np.where(static, np.where(inside, -_INF, _INF), lo)
+    hi = np.where(static, np.where(inside, _INF, -_INF), hi)
+    return lo, hi
+
+
+def axis_interval_paper_abs(gap, rel_v, band: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The paper's Eqs. (1)-(4): absolute gap and absolute relative speed.
+
+    ``min = (|gap| - band) / |rel_v|`` (clamped at 0),
+    ``max = (|gap| + band) / |rel_v|``.
+    """
+    agap = np.abs(np.asarray(gap, dtype=np.float64))
+    av = np.abs(np.asarray(rel_v, dtype=np.float64))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        lo = np.maximum(agap - band, 0.0) / av
+        hi = (agap + band) / av
+    static = av == 0.0
+    inside = agap < band
+    lo = np.where(static, np.where(inside, 0.0, _INF), lo)
+    hi = np.where(static, np.where(inside, _INF, -_INF), hi)
+    return lo, hi
+
+
+def pair_interval(
+    gap_x,
+    gap_y,
+    rel_vx,
+    rel_vy,
+    mode: DetectionMode = DetectionMode.SIGNED,
+    band: float = C.COLLISION_BAND_TOTAL_NM,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Combined (time_min, time_max) window per Eqs. (5)-(6)."""
+    axis = (
+        axis_interval_signed if mode is DetectionMode.SIGNED else axis_interval_paper_abs
+    )
+    x_lo, x_hi = axis(gap_x, rel_vx, band)
+    y_lo, y_hi = axis(gap_y, rel_vy, band)
+    return np.maximum(x_lo, y_lo), np.minimum(x_hi, y_hi)
 
 
 def _candidate_pairs(
@@ -118,14 +176,46 @@ def conflict_row(
     return conflict, t_eff
 
 
+def earliest_critical(
+    fleet: FleetState,
+    i: int,
+    dxi: float,
+    dyi: float,
+    mode: DetectionMode = DetectionMode.SIGNED,
+    *,
+    threshold: float = C.TIME_TILL_SAFE_PERIODS,
+) -> Optional[Tuple[int, float]]:
+    """Earliest critical conflict of aircraft ``i`` at a given velocity.
+
+    Returns ``(partner_id, t_eff)`` of the soonest conflict with
+    ``t_eff < threshold``, ties broken toward the smaller partner id, or
+    ``None`` when the path is critically clear.
+    """
+    conflict, t_eff = conflict_row(fleet, i, dxi, dyi, mode)
+    critical = conflict & (t_eff < threshold)
+    if not np.any(critical):
+        return None
+    t = np.where(critical, t_eff, _INF)
+    j = int(np.argmin(t))  # argmin returns the first (smallest id) minimum
+    return j, float(t[j])
+
+
+def oracle(fleet: FleetState, mode: DetectionMode = DetectionMode.SIGNED):
+    """A :func:`repro.core.resolution.resolve` oracle whose checkers
+    answer every existence check with a dense conflict row."""
+
+    def checker(i: int):
+        def exists(dxi: float, dyi: float) -> bool:
+            return earliest_critical(fleet, i, dxi, dyi, mode) is not None
+
+        return exists
+
+    return checker
+
+
 def resolve(fleet: FleetState, mode: DetectionMode = DetectionMode.SIGNED):
     """Task 3 answering every existence check with a dense conflict row."""
-
-    def critical_exists(i: int, dxi: float, dyi: float) -> bool:
-        conflict, t_eff = conflict_row(fleet, i, dxi, dyi, mode)
-        return bool(np.any(conflict & (t_eff < C.TIME_TILL_SAFE_PERIODS)))
-
-    return _resolve(fleet, mode, critical_exists=critical_exists)
+    return _resolve(fleet, mode, oracle=oracle(fleet, mode))
 
 
 def detect(

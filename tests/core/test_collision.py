@@ -2,20 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import constants as C
 from repro.core.collision import (
     DetectionMode,
     axis_interval_paper_abs,
     axis_interval_signed,
-    conflict_row,
     detect,
-    earliest_critical,
     pair_interval,
 )
+from repro.core.resolution import _in_place_oracle
 from repro.core.types import FleetState
 
 from ..conftest import make_two_aircraft
+from . import dense_reference as dense
+from .test_sweepline import nudge
 
 
 class TestAxisIntervalSigned:
@@ -196,40 +199,136 @@ class TestDetect:
         assert stats.critical_per_aircraft.sum() == stats.critical_conflicts
 
 
+def in_place_exists(fleet, i, dxi, dyi, mode=DetectionMode.SIGNED):
+    """The library's Task-3 existence check of aircraft ``i``."""
+    return _in_place_oracle(fleet, mode)(i)(dxi, dyi)
+
+
 class TestConflictRow:
+    """The dense conflict row the differential wall trusts, and the
+    library checker that answers the same question from gathered
+    partners."""
+
     def test_matches_detect(self):
         from repro.core.setup import setup_flight
 
         fleet = setup_flight(100, 2018)
         detect(fleet)
         for i in (0, 13, 99):
-            conflict, t_eff = conflict_row(
-                fleet, i, float(fleet.dx[i]), float(fleet.dy[i])
-            )
+            dxi, dyi = float(fleet.dx[i]), float(fleet.dy[i])
+            conflict, t_eff = dense.conflict_row(fleet, i, dxi, dyi)
             critical = conflict & (t_eff < C.TIME_TILL_SAFE_PERIODS)
             assert bool(critical.any()) == bool(fleet.col[i])
+            assert in_place_exists(fleet, i, dxi, dyi) == bool(fleet.col[i])
 
     def test_self_excluded(self):
         fleet = make_two_aircraft()
-        conflict, _ = conflict_row(fleet, 0, 0.01, 0.0)
+        conflict, _ = dense.conflict_row(fleet, 0, 0.01, 0.0)
         assert not conflict[0]
+        # Alone in its band, an aircraft at its own velocity is clear:
+        # the self pair (no gap, no relative motion) is never tested.
+        fleet = make_two_aircraft(alt0=10_000.0, alt1=30_000.0)
+        assert not in_place_exists(fleet, 0, float(fleet.dx[0]), float(fleet.dy[0]))
 
 
 class TestEarliestCritical:
     def test_returns_partner_and_time(self):
         fleet = make_two_aircraft(x0=0.0, dx0=0.05, x1=20.0, dx1=-0.05)
-        hit = earliest_critical(fleet, 0, 0.05, 0.0)
+        hit = dense.earliest_critical(fleet, 0, 0.05, 0.0)
         assert hit is not None
         partner, t = hit
         assert partner == 1
         assert t == pytest.approx(170.0)
+        assert in_place_exists(fleet, 0, 0.05, 0.0)
 
     def test_none_when_clear(self):
         fleet = make_two_aircraft(x0=0.0, dx0=-0.05, x1=20.0, dx1=0.05)
-        assert earliest_critical(fleet, 0, -0.05, 0.0) is None
+        assert dense.earliest_critical(fleet, 0, -0.05, 0.0) is None
+        assert not in_place_exists(fleet, 0, -0.05, 0.0)
 
     def test_trial_velocity_changes_answer(self):
         fleet = make_two_aircraft(x0=0.0, dx0=0.05, x1=20.0, dx1=-0.05)
-        assert earliest_critical(fleet, 0, 0.05, 0.0) is not None
-        # Flying away instead: clear.
-        assert earliest_critical(fleet, 0, -0.05, 0.0) is None
+        exists = _in_place_oracle(fleet, DetectionMode.SIGNED)(0)
+        assert dense.earliest_critical(fleet, 0, 0.05, 0.0) is not None
+        assert exists(0.05, 0.0)
+        # Flying away instead: clear.  One checker answers both.
+        assert dense.earliest_critical(fleet, 0, -0.05, 0.0) is None
+        assert not exists(-0.05, 0.0)
+
+
+_BAND = C.COLLISION_BAND_TOTAL_NM
+_SUBNORMAL = st.sampled_from([5e-324, 1e-310, 2.2250738585072e-308])
+
+
+@st.composite
+def kernel_gap(draw):
+    """A gap at exactly +-band or 1-3 ulps either side of it, a
+    subnormal, or a free value."""
+    edge = st.sampled_from([-_BAND, _BAND]).flatmap(
+        lambda b: st.integers(min_value=-3, max_value=3).map(lambda u: nudge(b, u))
+    )
+    value = draw(
+        st.one_of(
+            edge,
+            _SUBNORMAL,
+            st.floats(min_value=-50.0, max_value=50.0, allow_nan=False),
+        )
+    )
+    return value * draw(st.sampled_from([1.0, -1.0]))
+
+
+@st.composite
+def kernel_velocity(draw):
+    """A relative velocity of exactly +0.0 or -0.0, a subnormal, or a
+    free value."""
+    value = draw(
+        st.one_of(
+            st.sampled_from([0.0, -0.0]),
+            _SUBNORMAL,
+            st.floats(min_value=-0.5, max_value=0.5, allow_nan=False),
+        )
+    )
+    return value * draw(st.sampled_from([1.0, -1.0]))
+
+
+#: One pair: (gap_x, gap_y, rel_vx, rel_vy).
+_pair = st.tuples(kernel_gap(), kernel_gap(), kernel_velocity(), kernel_velocity())
+
+#: The pair that ties the two axes' window starts at +0.0 against -0.0:
+#: where the operand order of the final maximum decides the sign.
+_ZERO_TIE = (_BAND, -_BAND, -0.1, 0.1)
+
+
+class TestPairIntervalFrozen:
+    """The library's ``pair_interval`` is bit-for-bit the frozen copy in
+    the dense reference, including +-0, +-inf and the static windows of
+    pairs with no relative motion on an axis."""
+
+    @staticmethod
+    def assert_same_bits(operands, mode):
+        want = dense.pair_interval(*operands, mode)
+        got = pair_interval(*operands, mode)
+        for w, g in zip(want, got):
+            w, g = np.asarray(w), np.asarray(g)
+            assert w.shape == g.shape
+            assert np.array_equal(w.view(np.uint64), g.view(np.uint64))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(_pair, min_size=1, max_size=40),
+        st.sampled_from(list(DetectionMode)),
+        st.integers(min_value=1, max_value=4),
+    )
+    def test_bit_identical_to_frozen_copy(self, pairs, mode, rows):
+        pairs = pairs + [_ZERO_TIE]
+        operands = [np.array(column, dtype=np.float64) for column in zip(*pairs)]
+        self.assert_same_bits(operands, mode)  # 1-D
+        cols = len(pairs) // rows
+        self.assert_same_bits(
+            [op[: rows * cols].reshape(rows, cols) for op in operands], mode
+        )  # 2-D
+
+    @pytest.mark.parametrize("mode", list(DetectionMode))
+    def test_zero_tie_keeps_its_sign(self, mode):
+        self.assert_same_bits(tuple(np.float64(v) for v in _ZERO_TIE), mode)
+        self.assert_same_bits(tuple(np.full(33, v) for v in _ZERO_TIE), mode)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core import constants as C
-from repro.core.collision import DetectionMode, detect, earliest_critical
+from repro.core.collision import DetectionMode, detect
 from repro.core.resolution import detect_and_resolve, resolve
 
 from ..conftest import make_two_aircraft
+from . import dense_reference as dense
 
 
 def crossing_pair():
@@ -26,12 +27,11 @@ class TestResolve:
         res = resolve(fleet)
         assert res.resolved >= 1
         assert res.unresolved == 0
-        # After resolution neither aircraft has a critical conflict.
+        # After resolution neither aircraft has a critical conflict,
+        # by the dense reference's independent check.
         for i in range(2):
-            assert (
-                earliest_critical(fleet, i, float(fleet.dx[i]), float(fleet.dy[i]))
-                is None
-            )
+            dxi, dyi = float(fleet.dx[i]), float(fleet.dy[i])
+            assert dense.earliest_critical(fleet, i, dxi, dyi) is None
 
     def test_resolution_preserves_speed(self):
         fleet = crossing_pair()

@@ -31,6 +31,18 @@ class FakeBackend(Backend):
         return TaskTiming("task23", self.name, fleet.n, self.task23_s)
 
 
+class ScriptedBackend(FakeBackend):
+    """FakeBackend whose Task 2+3 takes the next scripted time per cycle."""
+
+    def __init__(self, task1_s: float, task23_s: list):
+        super().__init__(task1_s, 0.0)
+        self.script = iter(task23_s)
+
+    def detect_and_resolve(self, fleet, mode=DetectionMode.SIGNED) -> TaskTiming:
+        self.task23_s = next(self.script)
+        return super().detect_and_resolve(fleet, mode)
+
+
 @pytest.fixture
 def fleet():
     return setup_flight(32, 2018)
@@ -92,6 +104,13 @@ class TestDeadlineAccounting:
         assert all(p.task23 is None for p in collision_periods)
         assert result.skipped_tasks == 1
 
+    def test_overrun_clamps_slack_and_utilization(self, fleet):
+        # Every period runs 0.05 s over: no negative slack, and a period
+        # can be at most fully used.
+        result = run_schedule(FakeBackend(0.55, 0.01), fleet)
+        assert [p.slack for p in result.periods] == [0.0] * 16
+        assert result.mean_utilization == 1.0
+
     def test_combined_overrun(self, fleet):
         # 0.3 + 0.3 > 0.5 only in the collision period.
         result = run_schedule(FakeBackend(0.3, 0.3), fleet)
@@ -103,7 +122,9 @@ class TestDeadlineAccounting:
         # time_used == budget is not a miss in non-collision periods, but
         # the collision period skips task23 (no time left).
         misses = [p for p in result.periods if p.deadline_missed]
-        assert all(p.period == C.COLLISION_PERIOD_INDEX for p in misses)
+        assert [p.period for p in misses] == [C.COLLISION_PERIOD_INDEX]
+        assert misses[0].task23_skipped and misses[0].task23 is None
+        assert result.skipped_tasks == 1
 
 
 class TestSummary:
@@ -116,6 +137,12 @@ class TestSummary:
         assert s["task23_mean_s"] == pytest.approx(0.02)
         assert s["worst_period_s"] == pytest.approx(0.03)
         assert 0 < s["mean_utilization"] < 1
+
+    def test_task23_max_is_the_slowest_cycle(self, fleet):
+        backend = ScriptedBackend(0.01, [0.02, 0.04])
+        s = run_schedule(backend, fleet, major_cycles=2).summary()
+        assert s["task23_max_s"] == 0.04
+        assert s["task23_mean_s"] == pytest.approx(0.03)
 
     def test_task_time_arrays(self, fleet):
         result = run_schedule(FakeBackend(0.01, 0.02), fleet)

@@ -18,20 +18,16 @@ from hypothesis import strategies as st
 
 from repro.core import constants as C
 from repro.core import tracking
-from repro.core.collision import (
-    DetectionMode,
-    conflict_row,
-    detect,
-    detect_chunk_rows,
-)
+from repro.core.collision import DetectionMode, detect, detect_chunk_rows
 from repro.core.radar import generate_radar_frame
-from repro.core.resolution import detect_and_resolve, resolve
+from repro.core.resolution import _in_place_oracle, detect_and_resolve, resolve
 from repro.core.setup import setup_flight
 from repro.core.sweepline import (
     PRUNE_MIN_N,
     AltitudeBandIndex,
     PruningPolicy,
     detect_and_resolve_pruned,
+    _pruned_oracle,
     detect_pruned,
     resolve_pruned,
     resolve_pruning,
@@ -373,21 +369,27 @@ class TestAdversarialProperties:
         st.sampled_from(MODES),
     )
     def test_conflict_row_matches_dense_on_ulp_boundaries(self, alts, data, mode):
+        """Both Task-3 checkers answer exactly what the dense conflict
+        row says (``earliest_critical(...) is not None``), at the
+        committed and at a trial velocity, from one checker per
+        aircraft."""
         coords = data.draw(
             st.lists(_coord, min_size=len(alts), max_size=len(alts))
         )
         _, _, trial_dx, trial_dy = data.draw(_coord)
         fleet = adversarial_fleet(alts, coords)
+        counters = {"queries": 0, "tested": 0}
+        oracles = (
+            _in_place_oracle(fleet, mode),
+            _pruned_oracle(fleet, AltitudeBandIndex(fleet), mode, counters),
+        )
         for i in range(fleet.n):
+            checkers = [oracle(i) for oracle in oracles]
             for dxi, dyi in ((fleet.dx[i], fleet.dy[i]), (trial_dx, trial_dy)):
-                want, want_t = dense.conflict_row(fleet, i, dxi, dyi, mode)
-                got, got_t = conflict_row(fleet, i, dxi, dyi, mode)
-                assert np.array_equal(want, got)
-                # t_eff is the dense value inside the band, +inf outside.
-                band = np.abs(fleet.alt - fleet.alt[i]) < C.ALTITUDE_SEPARATION_FT
-                band[i] = False
-                assert np.array_equal(bits(want_t[band]), bits(got_t[band]))
-                assert np.all(got_t[~band] == np.inf)
+                dxi, dyi = float(dxi), float(dyi)
+                want = dense.earliest_critical(fleet, i, dxi, dyi, mode) is not None
+                for exists in checkers:
+                    assert exists(dxi, dyi) == want
 
     @settings(max_examples=200, deadline=None)
     @given(gate_scene())

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import constants as C
-from repro.core.collision import detect, earliest_critical
+from repro.core.collision import detect
 from repro.core.radar import generate_radar_frame
 from repro.core.resolution import resolve
 from repro.core.setup import setup_flight

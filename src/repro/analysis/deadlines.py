@@ -155,11 +155,11 @@ def record_schedule_metrics(
 ) -> None:
     """Record deadline metrics for every period of a schedule run.
 
-    Works for any result exposing ``platform``/``n_aircraft`` and a
-    ``periods`` list of records with ``time_used`` / ``deadline_missed``
-    — the extended-task-set scheduler included (its periods carry a
-    ``tasks``/``skipped`` breakdown instead of ``task23`` fields, so the
-    collision-period test duck-types over both record shapes).
+    Every run of a task table — the paper's (``run_schedule``) and the
+    complete system's (``run_extended_schedule``) — yields the same
+    :class:`~repro.core.scheduler.PeriodRecord` shape.  A period in
+    which Task 2+3 ran or was skipped is labelled
+    ``period="collision"``; every other period ``period="tracking"``.
     """
     if not metrics_active() and not obs_is_active():
         return
@@ -168,15 +168,7 @@ def record_schedule_metrics(
         margin = C.PERIOD_SECONDS - float(p.time_used)
         missed = bool(p.deadline_missed)
         misses += missed
-        collision_period = (
-            getattr(p, "task23", None) is not None
-            or bool(getattr(p, "task23_skipped", False))
-            or any(
-                getattr(t, "task", "") == "task23"
-                for t in getattr(p, "tasks", ())
-            )
-            or "task23" in getattr(p, "skipped", ())
-        )
+        collision_period = p.task23 is not None or p.task23_skipped
         _record_margin(
             margin,
             platform=result.platform,

@@ -20,7 +20,7 @@ import numpy as np
 from . import constants as C
 from .collision import DetectionMode
 from .radar import generate_radar_frame
-from .scheduler import ScheduleResult, run_schedule
+from .scheduler import ScheduleResult, paper_task_table, run_task_table
 from .setup import setup_flight
 from .types import FleetState, RadarFrame, TaskTiming
 
@@ -108,15 +108,17 @@ class Simulation:
         return self.run(major_cycles=1)
 
     def run(self, major_cycles: int = 1) -> ScheduleResult:
-        """Run the hard-deadline schedule for ``major_cycles`` cycles."""
-        result = run_schedule(
-            self.backend,
+        """Run the hard-deadline schedule for ``major_cycles`` cycles,
+        continuing from :attr:`current_period`."""
+        result = run_task_table(
+            self.backend.name,
             self.fleet,
+            paper_task_table(self.backend, self.mode),
             major_cycles=major_cycles,
             seed=self.seed,
-            mode=self.mode,
             radar_dropout=self.radar_dropout,
             radar_clutter=self.radar_clutter,
+            first_period=self._global_period,
         )
         self._global_period += result.total_periods
         return result

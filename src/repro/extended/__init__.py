@@ -13,11 +13,7 @@ from .approach import ApproachStats, Runway, sequence_approach
 from .costs import advisory_timing, approach_timing, display_timing, terrain_timing
 from .display import DisplayStats, ScopeConfig, build_display
 from .simulation import FullAtmSimulation
-from .scheduler import (
-    ExtendedPeriodRecord,
-    ExtendedScheduleResult,
-    run_extended_schedule,
-)
+from .scheduler import run_extended_schedule
 from .terrain import TerrainGrid
 from .terrain_avoidance import TerrainStats, check_terrain
 
@@ -37,8 +33,6 @@ __all__ = [
     "ScopeConfig",
     "build_display",
     "FullAtmSimulation",
-    "ExtendedPeriodRecord",
-    "ExtendedScheduleResult",
     "run_extended_schedule",
     "TerrainGrid",
     "TerrainStats",

@@ -20,22 +20,21 @@ Task table (one 16-period major cycle):
 | 7         | terrain avoidance (8-second period, offset from CD/CR) |
 | 15        | Tasks 2+3 — collision detection & resolution |
 
-Deadline rules are the core scheduler's: a task whose predecessors
-exhausted the period is skipped; a period over 0.5 s is missed.
+The core scheduler's one loop (:func:`~repro.core.scheduler.run_task_table`)
+runs it under the paper's deadline rules, rows in the order above: on
+MIMD the extended cost adapters draw from the backend's jitter generator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..backends.base import Backend
-from ..core import constants as C
 from ..core.collision import DetectionMode
-from ..core.radar import generate_radar_frame
-from ..core.types import FleetState, TaskTiming
+from ..core.scheduler import ScheduleResult, TaskRow, paper_task_table, run_task_table
+from ..core.types import FleetState
 from .advisory import Advisory, AdvisoryChannel, AdvisoryKind
 from .approach import Runway, sequence_approach
 from .costs import advisory_timing, approach_timing, display_timing, terrain_timing
@@ -48,8 +47,7 @@ __all__ = [
     "TERRAIN_PERIOD",
     "ADVISORY_PERIOD",
     "DISPLAY_PERIODS",
-    "ExtendedPeriodRecord",
-    "ExtendedScheduleResult",
+    "extended_task_table",
     "run_extended_schedule",
 ]
 
@@ -59,69 +57,55 @@ ADVISORY_PERIOD = 0
 DISPLAY_PERIODS = (1, 9)
 
 
-@dataclass
-class ExtendedPeriodRecord:
-    """Outcome of one half-second period of the full system."""
+def extended_task_table(
+    backend: Backend,
+    *,
+    terrain: TerrainGrid,
+    runway: Runway,
+    channel: AdvisoryChannel,
+    scope: ScopeConfig,
+    mode: DetectionMode,
+) -> Tuple[TaskRow, ...]:
+    """The paper's table plus four rows (see the module docstring);
+    Task 2+3 also queues an advisory per unresolved conflict."""
+    task1, paper_task23 = paper_task_table(backend, mode)
 
-    major_cycle: int
-    period: int
-    #: every task that ran this period, in execution order.
-    tasks: List[TaskTiming]
-    time_used: float
-    slack: float
-    deadline_missed: bool
-    #: names of tasks that were due but skipped for lack of budget.
-    skipped: List[str] = field(default_factory=list)
+    def advise(kind, targets, cycle):
+        channel.submit_many(Advisory(kind, i, payload, cycle) for i, payload in targets)
 
+    def advisory(fleet, frame, cycle):
+        return advisory_timing(backend, fleet.n, channel.service_cycle(cycle))
 
-@dataclass
-class ExtendedScheduleResult:
-    """Aggregate of a full-system run."""
+    def display(fleet, frame, cycle):
+        return display_timing(backend, fleet.n, build_display(fleet, scope))
 
-    platform: str
-    n_aircraft: int
-    periods: List[ExtendedPeriodRecord] = field(default_factory=list)
+    def approach(fleet, frame, cycle):
+        stats = sequence_approach(fleet, runway)
+        timing = approach_timing(backend, fleet.n, stats)
+        advise(AdvisoryKind.APPROACH, stats.advisory_targets, cycle)
+        return timing
 
-    @property
-    def total_periods(self) -> int:
-        return len(self.periods)
+    def terrain_check(fleet, frame, cycle):
+        stats = check_terrain(fleet, terrain)
+        timing = terrain_timing(backend, fleet.n, stats)
+        advise(AdvisoryKind.TERRAIN, stats.advisory_targets, cycle)
+        return timing
 
-    @property
-    def missed_deadlines(self) -> int:
-        return sum(1 for p in self.periods if p.deadline_missed)
+    def task23(fleet, frame, cycle):
+        timing = paper_task23.run(fleet, frame, cycle)
+        unresolved = np.nonzero(fleet.col == 1)[0]
+        targets = ((int(i), float(fleet.time_till[i])) for i in unresolved)
+        advise(AdvisoryKind.COLLISION, targets, cycle)
+        return timing
 
-    @property
-    def skipped_tasks(self) -> int:
-        return sum(len(p.skipped) for p in self.periods)
-
-    @property
-    def worst_period_seconds(self) -> float:
-        return max((p.time_used for p in self.periods), default=0.0)
-
-    def task_times(self, task: str) -> np.ndarray:
-        out = [
-            t.seconds
-            for p in self.periods
-            for t in p.tasks
-            if t.task == task
-        ]
-        return np.array(out)
-
-    def summary(self) -> dict:
-        tasks = sorted({t.task for p in self.periods for t in p.tasks})
-        out = {
-            "platform": self.platform,
-            "n_aircraft": self.n_aircraft,
-            "periods": self.total_periods,
-            "missed_deadlines": self.missed_deadlines,
-            "skipped_tasks": self.skipped_tasks,
-            "worst_period_s": self.worst_period_seconds,
-        }
-        for task in tasks:
-            times = self.task_times(task)
-            out[f"{task}_mean_s"] = float(times.mean())
-            out[f"{task}_max_s"] = float(times.max())
-        return out
+    return (
+        task1,
+        TaskRow("advisory", (ADVISORY_PERIOD,), advisory),
+        TaskRow("display", DISPLAY_PERIODS, display),
+        TaskRow("approach", APPROACH_PERIODS, approach),
+        TaskRow("terrain", (TERRAIN_PERIOD,), terrain_check),
+        TaskRow("task23", paper_task23.periods, task23),
+    )
 
 
 def run_extended_schedule(
@@ -137,100 +121,22 @@ def run_extended_schedule(
     mode: DetectionMode = DetectionMode.SIGNED,
     radar_dropout: float = 0.0,
     radar_clutter: int = 0,
-) -> ExtendedScheduleResult:
+) -> ScheduleResult:
     """Drive the complete ATM system for ``major_cycles`` cycles."""
-    if major_cycles < 1:
-        raise ValueError("need at least one major cycle")
-    terrain = terrain if terrain is not None else TerrainGrid.generate(seed)
-    runway = runway if runway is not None else Runway()
-    channel = channel if channel is not None else AdvisoryChannel()
-    scope = scope if scope is not None else ScopeConfig()
-
-    result = ExtendedScheduleResult(platform=backend.name, n_aircraft=fleet.n)
-    global_period = 0
-
-    for cycle in range(major_cycles):
-        for period in range(C.PERIODS_PER_MAJOR_CYCLE):
-            frame = generate_radar_frame(
-                fleet, seed, global_period,
-                dropout=radar_dropout, clutter=radar_clutter,
-            )
-            tasks: List[TaskTiming] = []
-            skipped: List[str] = []
-
-            def budget_left() -> float:
-                return C.PERIOD_SECONDS - sum(t.seconds for t in tasks)
-
-            # Task 1 always runs first.
-            tasks.append(backend.track_and_correlate(fleet, frame))
-
-            # Periodic tasks, in the table's order, each gated on the
-            # remaining budget (the core scheduler's skip rule).
-            if period == ADVISORY_PERIOD:
-                if budget_left() > 0:
-                    stats = channel.service_cycle(cycle)
-                    tasks.append(advisory_timing(backend, fleet.n, stats))
-                else:
-                    skipped.append("advisory")
-
-            if period in DISPLAY_PERIODS:
-                if budget_left() > 0:
-                    stats = build_display(fleet, scope)
-                    tasks.append(display_timing(backend, fleet.n, stats))
-                else:
-                    skipped.append("display")
-
-            if period in APPROACH_PERIODS:
-                if budget_left() > 0:
-                    stats = sequence_approach(fleet, runway)
-                    tasks.append(approach_timing(backend, fleet.n, stats))
-                    channel.submit_many(
-                        Advisory(AdvisoryKind.APPROACH, i, payload, cycle)
-                        for i, payload in stats.advisory_targets
-                    )
-                else:
-                    skipped.append("approach")
-
-            if period == TERRAIN_PERIOD:
-                if budget_left() > 0:
-                    stats = check_terrain(fleet, terrain)
-                    tasks.append(terrain_timing(backend, fleet.n, stats))
-                    channel.submit_many(
-                        Advisory(AdvisoryKind.TERRAIN, i, payload, cycle)
-                        for i, payload in stats.advisory_targets
-                    )
-                else:
-                    skipped.append("terrain")
-
-            if period == C.COLLISION_PERIOD_INDEX:
-                if budget_left() > 0:
-                    tasks.append(backend.detect_and_resolve(fleet, mode=mode))
-                    unresolved = np.nonzero(fleet.col == 1)[0]
-                    channel.submit_many(
-                        Advisory(
-                            AdvisoryKind.COLLISION,
-                            int(i),
-                            float(fleet.time_till[i]),
-                            cycle,
-                        )
-                        for i in unresolved
-                    )
-                else:
-                    skipped.append("task23")
-
-            time_used = sum(t.seconds for t in tasks)
-            missed = time_used > C.PERIOD_SECONDS or bool(skipped)
-            result.periods.append(
-                ExtendedPeriodRecord(
-                    major_cycle=cycle,
-                    period=period,
-                    tasks=tasks,
-                    time_used=time_used,
-                    slack=max(C.PERIOD_SECONDS - time_used, 0.0),
-                    deadline_missed=missed,
-                    skipped=skipped,
-                )
-            )
-            global_period += 1
-
-    return result
+    table = extended_task_table(
+        backend,
+        terrain=terrain if terrain is not None else TerrainGrid.generate(seed),
+        runway=runway if runway is not None else Runway(),
+        channel=channel if channel is not None else AdvisoryChannel(),
+        scope=scope if scope is not None else ScopeConfig(),
+        mode=mode,
+    )
+    return run_task_table(
+        backend.name,
+        fleet,
+        table,
+        major_cycles=major_cycles,
+        seed=seed,
+        radar_dropout=radar_dropout,
+        radar_clutter=radar_clutter,
+    )

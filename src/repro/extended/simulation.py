@@ -15,12 +15,13 @@ from typing import Optional, Union
 import numpy as np
 
 from ..core.collision import DetectionMode
+from ..core.scheduler import ScheduleResult, run_task_table
 from ..core.setup import setup_flight
 from ..core.types import FleetState
 from .advisory import AdvisoryChannel
 from .approach import Runway
 from .display import ScopeConfig
-from .scheduler import ExtendedScheduleResult, run_extended_schedule
+from .scheduler import extended_task_table
 from .terrain import TerrainGrid
 
 __all__ = ["FullAtmSimulation"]
@@ -68,26 +69,31 @@ class FullAtmSimulation:
             self.fleet = fleet
         else:
             self.fleet = setup_flight(n_aircraft, seed)
+        self._global_period = 0
 
     @property
     def n_aircraft(self) -> int:
         return self.fleet.n
 
-    def run(self, major_cycles: int = 1) -> ExtendedScheduleResult:
-        """Run the full task table for ``major_cycles`` 8-second cycles."""
-        return run_extended_schedule(
-            self.backend,
+    def run(self, major_cycles: int = 1) -> ScheduleResult:
+        """Run the full task table for ``major_cycles`` 8-second cycles,
+        continuing from where the previous run stopped."""
+        table = extended_task_table(
+            self.backend, terrain=self.terrain, runway=self.runway,
+            channel=self.channel, scope=self.scope, mode=self.mode,
+        )
+        result = run_task_table(
+            self.backend.name,
             self.fleet,
-            terrain=self.terrain,
-            runway=self.runway,
-            channel=self.channel,
-            scope=self.scope,
+            table,
             major_cycles=major_cycles,
             seed=self.seed,
-            mode=self.mode,
             radar_dropout=self.radar_dropout,
             radar_clutter=self.radar_clutter,
+            first_period=self._global_period,
         )
+        self._global_period += result.total_periods
+        return result
 
     def advisory_backlog(self) -> int:
         """Messages still waiting on the voice channel."""

@@ -627,9 +627,9 @@ def ext_viability(
                     n,
                     res.missed_deadlines,
                     res.skipped_tasks,
-                    format_seconds(s.get("terrain_mean_s", 0.0)),
-                    format_seconds(s.get("approach_mean_s", 0.0)),
-                    format_seconds(s.get("advisory_mean_s", 0.0)),
+                    format_seconds(s["terrain_mean_s"]),
+                    format_seconds(s["approach_mean_s"]),
+                    format_seconds(s["advisory_mean_s"]),
                     format_seconds(res.worst_period_seconds),
                 )
             )

@@ -1,9 +1,21 @@
-"""Unit tests for deadline reports."""
+"""Unit tests for deadline reports and the schedule SLO recorder."""
+
+import json
 
 import pytest
 
-from repro.analysis.deadlines import DeadlineReport, DeadlineRow
+from repro.analysis.deadlines import (
+    DeadlineReport,
+    DeadlineRow,
+    record_schedule_metrics,
+)
 from repro.core import constants as C
+from repro.core.scheduler import run_schedule
+from repro.core.setup import setup_flight
+from repro.extended import TerrainGrid, run_extended_schedule
+from repro.obs.metrics import MetricsRegistry, recording
+
+from ..core.test_scheduler import FakeBackend
 
 
 def row(platform, n, missed, worst_ms=10.0, periods=16, skipped=0):
@@ -73,3 +85,30 @@ class TestFromSchedule:
         assert r.platform == "reference"
         assert r.periods == 16
         assert r.never_misses
+
+
+class TestRecordScheduleMetrics:
+    """Both task tables label their collision periods alike, whether
+    Task 2+3 ran there or was skipped for lack of budget."""
+
+    @pytest.mark.parametrize("table", ["paper", "extended"])
+    @pytest.mark.parametrize("task1_s, misses", [(0.001, 0), (0.55, 32)])
+    def test_collision_periods_labelled(self, table, task1_s, misses):
+        backend = FakeBackend(task1_s, 0.001)
+        fleet = setup_flight(32, 2018)
+        with recording(MetricsRegistry()) as registry:
+            if table == "paper":
+                result = run_schedule(backend, fleet, major_cycles=2)
+            else:
+                grid = TerrainGrid.generate(2018, resolution_nm=4.0)
+                result = run_extended_schedule(
+                    backend, fleet, terrain=grid, major_cycles=2
+                )
+            record_schedule_metrics(result)
+        margins = registry.series("atm_deadline_margin_seconds")
+        by_period = {json.loads(k)["period"]: h.count for k, h in margins.items()}
+        assert by_period == {"collision": 2, "tracking": 30}
+        assert result.missed_deadlines == misses
+        assert registry.value(
+            "atm_deadline_misses", platform="fake", n_aircraft=32, source="schedule"
+        ) == misses

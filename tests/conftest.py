@@ -40,6 +40,17 @@ def radar_for():
     return _make
 
 
+def schedule_view(results) -> list:
+    """Every period of a sequence of schedule results, as comparable
+    plain data: clock, timings (``to_dict``), skips and time used."""
+    return [
+        (p.major_cycle, p.period, [t.to_dict() for t in p.tasks], p.skipped,
+         p.time_used)
+        for r in results
+        for p in r.periods
+    ]
+
+
 def make_two_aircraft(
     x0=0.0, y0=0.0, dx0=0.01, dy0=0.0,
     x1=10.0, y1=0.0, dx1=-0.01, dy1=0.0,

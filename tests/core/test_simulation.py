@@ -6,6 +6,8 @@ import pytest
 from repro.core import constants as C
 from repro.core.simulation import Simulation
 
+from ..conftest import schedule_view
+
 
 class TestConstruction:
     def test_default_backend_is_reference(self):
@@ -49,6 +51,21 @@ class TestStepping:
     def test_step_major_cycle(self):
         result = Simulation(32).step_major_cycle()
         assert result.total_periods == C.PERIODS_PER_MAJOR_CYCLE
+
+    @pytest.mark.parametrize("platform", ["cuda:titan-x-pascal", "mimd:xeon-16"])
+    def test_split_runs_equal_one_run(self, platform):
+        """Three one-cycle runs continue the clock: they generate radar
+        for periods 0-47 and equal one three-cycle run."""
+        whole = Simulation(64, backend=platform)
+        split = Simulation(64, backend=platform)
+        one_run = [whole.run(major_cycles=3)]
+        three_runs = [split.step_major_cycle() for _ in range(3)]
+        assert split.current_period == whole.current_period == 48
+        assert split.fleet.state_equal(whole.fleet)
+        assert schedule_view(three_runs) == schedule_view(one_run)
+        assert [p.major_cycle for r in three_runs for p in r.periods] == [
+            c for c in range(3) for _ in range(16)
+        ]
 
     def test_deterministic_runs(self):
         a = Simulation(64, seed=7)

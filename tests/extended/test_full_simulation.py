@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.extended import FullAtmSimulation, Runway, TerrainGrid
-from repro.harness.workloads import terminal_area
+from repro.extended import AdvisoryChannel, FullAtmSimulation, Runway, TerrainGrid
+from repro.harness.workloads import crossing_streams, terminal_area
+
+from ..conftest import schedule_view
 
 
 class TestConstruction:
@@ -41,14 +43,42 @@ class TestRunning:
         for task in ("task1", "task23", "terrain", "approach", "display"):
             assert result.task_times(task).size > 0
 
-    def test_channel_persists_between_runs(self):
-        sim = FullAtmSimulation(256, backend="cuda:gtx-880m")
-        sim.run(major_cycles=1)
-        backlog_first = sim.advisory_backlog()
-        sim.run(major_cycles=1)
-        # The channel object carried over (same instance, still serving).
-        assert sim.advisory_backlog() >= 0
-        assert isinstance(backlog_first, int)
+    @pytest.mark.parametrize("platform", ["cuda:titan-x-pascal", "mimd:xeon-16"])
+    def test_split_runs_equal_one_run(self, platform):
+        """Four one-cycle runs continue the façade's clock, so they
+        equal one four-cycle run: advisories queued by an earlier run
+        age and go stale."""
+        grid = TerrainGrid.generate(2018, resolution_nm=4.0)
+
+        def make():
+            fleet = crossing_streams(24)  # dense: the voice channel backs up
+            return FullAtmSimulation(
+                fleet.n,
+                backend=platform,
+                terrain=grid,
+                channel=AdvisoryChannel(slots_per_cycle=1, max_age_cycles=1),
+                fleet=fleet,
+            )
+
+        whole, split = make(), make()
+        one_run = [whole.run(major_cycles=4)]
+        four_runs = [split.run(major_cycles=1) for _ in range(4)]
+        assert split.fleet.state_equal(whole.fleet)
+        assert schedule_view(four_runs) == schedule_view(one_run)
+        assert [p.major_cycle for r in four_runs for p in r.periods] == [
+            c for c in range(4) for _ in range(16)
+        ]
+        assert split.advisory_backlog() == whole.advisory_backlog()
+
+        def stale_drops(results):
+            return sum(
+                p.timing("advisory").stats["dropped_stale"]
+                for r in results
+                for p in r.periods
+                if p.timing("advisory") is not None
+            )
+
+        assert stale_drops(four_runs) == stale_drops(one_run) > 0
 
     def test_terrain_clearance(self):
         sim = FullAtmSimulation(128)

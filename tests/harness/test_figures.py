@@ -9,6 +9,7 @@ from repro.harness.figures import (
     ablation_throughput,
     deadline_table,
     determinism_table,
+    ext_viability,
     fig4,
     fig5,
     fig8,
@@ -56,6 +57,39 @@ class TestTables:
             "ap:staran",
             "cuda:titan-x-pascal",
         ]
+
+    def test_ext_viability_columns_match_direct_runs(self):
+        """Each column, read by its header, is the matching figure of a
+        direct run of the complete system on a fresh backend and fleet
+        (one n, so no backend's state carries from row to row)."""
+        from repro.analysis.tables import format_seconds
+        from repro.backends.registry import resolve_backend
+        from repro.core.setup import setup_flight
+        from repro.extended import TerrainGrid, run_extended_schedule
+
+        table = ext_viability(ns=(96,), major_cycles=1)
+        grid = TerrainGrid.generate(2018)
+        assert len(table.rows) == 6
+        for values in table.rows:
+            row = dict(zip(table.headers, values))
+            res = run_extended_schedule(
+                resolve_backend(row["platform"]),
+                setup_flight(96, 2018),
+                terrain=grid,
+                major_cycles=1,
+                seed=2018,
+            )
+            s = res.summary()
+            assert row == {
+                "platform": row["platform"],
+                "aircraft": 96,
+                "missed": s["missed_deadlines"],
+                "skipped": s["skipped_tasks"],
+                "terrain": format_seconds(s["terrain_mean_s"]),
+                "approach": format_seconds(s["approach_mean_s"]),
+                "advisory": format_seconds(s["advisory_mean_s"]),
+                "worst period": format_seconds(s["worst_period_s"]),
+            }
 
     def test_determinism_table(self):
         table = determinism_table(

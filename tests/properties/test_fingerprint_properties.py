@@ -140,7 +140,7 @@ class TestCrossProcessStability:
             "print(fingerprint_of(payload))\n"
         )
         out = subprocess.run(
-            [sys.executable, "-c", code],
+            [sys.executable, "-B", "-c", code],
             capture_output=True,
             text=True,
             check=True,

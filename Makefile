@@ -60,15 +60,15 @@ bench-smoke:
 ## five-platform deadline table at n=10^6 (docs/performance.md,
 ## "Large-n regime"); slow
 bench-large:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_large_n.py \
+	PYTHONPATH=src $(PYTHON) -m repro.harness.cli bench --large \
 		--out BENCH_large_n.json
 
 ## CI gate for the large-n path: the n=10^5 profile twice, asserting the
 ## deterministic wall-free tables are byte-identical
 bench-large-smoke:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_large_n.py --n 100000 \
+	PYTHONPATH=src $(PYTHON) -m repro.harness.cli bench --large --large-n 100000 \
 		--out /tmp/bench_large_a.json --table-out /tmp/bench_large_table_a.json
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_large_n.py --n 100000 \
+	PYTHONPATH=src $(PYTHON) -m repro.harness.cli bench --large --large-n 100000 \
 		--out /tmp/bench_large_b.json --table-out /tmp/bench_large_table_b.json
 	cmp /tmp/bench_large_table_a.json /tmp/bench_large_table_b.json
 

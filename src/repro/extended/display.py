@@ -95,14 +95,14 @@ def build_display(fleet: FleetState, scope: ScopeConfig = ScopeConfig()) -> Disp
     stats.occupied_cells = len(target_of_cell)
     stats.crowded_targets = crowded
 
+    # Every aircraft's candidate label cells, clamped to the raster at once.
+    offsets = np.asarray(_OFFSETS)
+    label_x = np.clip(cx[:, None] + offsets[:, 0], 0, scope.cells - 1).tolist()
+    label_y = np.clip(cy[:, None] + offsets[:, 1], 0, scope.cells - 1).tolist()
     taken: set = set(target_of_cell)  # targets themselves block labels
     for i in range(fleet.n):
-        placed = False
-        for k, (ox, oy) in enumerate(_OFFSETS):
-            cell = (
-                int(np.clip(cx[i] + ox, 0, scope.cells - 1)),
-                int(np.clip(cy[i] + oy, 0, scope.cells - 1)),
-            )
+        candidates = list(zip(label_x[i], label_y[i]))
+        for k, cell in enumerate(candidates):
             if cell not in taken:
                 taken.add(cell)
                 stats.label_cells.append(cell)
@@ -110,14 +110,9 @@ def build_display(fleet: FleetState, scope: ScopeConfig = ScopeConfig()) -> Disp
                     stats.first_choice_labels += 1
                 else:
                     stats.moved_labels += 1
-                placed = True
                 break
-        if not placed:
+        else:
             # Draw overlapping at the first-choice position.
-            cell = (
-                int(np.clip(cx[i] + 1, 0, scope.cells - 1)),
-                int(np.clip(cy[i], 0, scope.cells - 1)),
-            )
-            stats.label_cells.append(cell)
+            stats.label_cells.append(candidates[0])
             stats.overlapping_labels += 1
     return stats

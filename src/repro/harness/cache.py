@@ -33,6 +33,11 @@ recomputes.  A missing file is an ordinary miss; any other ``OSError``
 is counted (``io_errors`` / ``atm_faults{kind="io-error"}``) and
 reported as a miss.  See ``docs/robustness.md`` for the fault
 model and ``docs/parallel-and-caching.md`` for the key scheme.
+
+**One cell store.**  :class:`CellStore` chains the places a finished
+cell can live — an in-process LRU, the :class:`ResultCache`, a
+checkpoint journal — and is the only lookup and commit path of the
+sweep engine and the service.
 """
 
 from __future__ import annotations
@@ -40,8 +45,10 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import threading
+from collections import OrderedDict
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
 
 from ..core.canonical import fingerprint_of
 from ..obs.metrics import metric_inc
@@ -50,12 +57,14 @@ from .faults import fault_span
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (sweep imports us)
     from ..backends.base import Backend
     from ..core.trace import FunctionalTrace
+    from ..service.journal import RequestJournal
     from .sweep import PlatformMeasurement
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
     "DEFAULT_CACHE_DIR",
     "QUARANTINE_DIR",
+    "CellStore",
     "ResultCache",
     "TraceStore",
 ]
@@ -227,7 +236,8 @@ class _ChecksumStore:
             "sha256": fingerprint_of(payload),
             self._payload_field: payload,
         }
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
+        # One temp file per thread: two threads may write one entry.
+        tmp = path.with_name(f"{key}.tmp.{os.getpid()}.{threading.get_ident()}")
         with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(entry, fh, sort_keys=True)
         os.replace(tmp, path)
@@ -390,3 +400,93 @@ class TraceStore(_ChecksumStore):
     def put(self, key: str, trace: "FunctionalTrace") -> None:
         """Store ``trace`` under ``key`` (atomic checksummed write)."""
         super().put(key, trace.to_dict())
+
+
+class CellStore:
+    """Finished measurement cells, probed through up to three tiers.
+
+    The tiers, fastest first: an in-process LRU of ``memory_cells``
+    measurements (0 = none), a :class:`ResultCache`, and a checkpoint
+    journal (a :class:`~repro.service.journal.RequestJournal`).  :meth:`get`
+    reads them in that order and copies a hit into the faster tiers
+    that missed — a journal hit back-fills the cache and the LRU, a
+    cache hit fills the LRU — and :meth:`put` writes every tier.
+
+    Two threads may share one store (the service's event loop reads it
+    while its dispatch thread commits): the LRU has its own lock, never
+    held across disk I/O; each thread writes a cache entry through its
+    own temp file; the journal serializes its appends, and its lookups
+    never wait behind one.
+    """
+
+    def __init__(
+        self,
+        *,
+        cache: Optional[ResultCache] = None,
+        journal: Optional["RequestJournal"] = None,
+        memory_cells: int = 0,
+    ) -> None:
+        self.cache = cache
+        self.journal = journal
+        self.memory_cells = max(0, int(memory_cells))
+        self._lru: "OrderedDict[str, PlatformMeasurement]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    @property
+    def enabled(self) -> bool:
+        """Whether any tier exists; a store without one keys no cell."""
+        return bool(self.memory_cells) or (
+            self.cache is not None or self.journal is not None
+        )
+
+    def get(
+        self, key: str
+    ) -> Tuple[Optional["PlatformMeasurement"], Optional[str]]:
+        """``(measurement, tier)`` from the first tier holding ``key``,
+        where tier is ``memory``, ``cache`` or ``journal``; ``(None,
+        None)`` when no tier holds it."""
+        with self._lock:
+            hit = self._lru.get(key)
+            if hit is not None:
+                self._lru.move_to_end(key)
+        if hit is not None:
+            return hit, "memory"
+        if self.cache is not None:
+            hit = self.cache.get(key)
+            if hit is not None:
+                self._fill_lru(key, hit)
+                return hit, "cache"
+        if self.journal is not None:
+            hit = self.journal.lookup(key)
+            if hit is not None:
+                if self.cache is not None:
+                    self.cache.put(key, hit)
+                self._fill_lru(key, hit)
+                return hit, "journal"
+        return None, None
+
+    def put(self, key: str, measurement: "PlatformMeasurement") -> None:
+        """Write ``measurement`` to every tier.  The LRU first: a reader
+        on another thread then finds the cell in memory while its disk
+        tiers are written, and writes none itself.  Then the journal: a
+        crash between the two disk writes leaves the cell journaled,
+        where a resumed run looks for it, and closes its admission."""
+        self._fill_lru(key, measurement)
+        if self.journal is not None:
+            self.journal.record_served(key, measurement)
+        if self.cache is not None:
+            self.cache.put(key, measurement)
+
+    def _fill_lru(self, key: str, measurement: "PlatformMeasurement") -> None:
+        if not self.memory_cells:
+            return
+        with self._lock:
+            self._lru[key] = measurement
+            self._lru.move_to_end(key)
+            while len(self._lru) > self.memory_cells:
+                self._lru.popitem(last=False)
+
+    def memory_keys(self) -> List[str]:
+        """The LRU's keys, least recently used first."""
+        with self._lock:
+            return list(self._lru)

@@ -459,7 +459,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument("--seed", type=int, default=2018)
     bench.add_argument(
-        "--periods", type=int, default=2, help="tracking periods per cell"
+        "--periods",
+        type=int,
+        default=None,
+        help="tracking periods per cell (default 2; 3 with --large)",
     )
     bench.add_argument(
         "--full",
@@ -802,7 +805,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         from ..search.space import Budget, space_for
         from .cache import ResultCache, TraceStore
-        from .faults import SweepJournal
 
         if args.spec:
             spec = load_search_spec(args.spec)
@@ -836,9 +838,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
             return 2
         if args.cache_dir and not args.no_cache:
+            from ..service.journal import RequestJournal
+
             cache = ResultCache(args.cache_dir)
             traces = TraceStore(Path(args.cache_dir) / "traces")
-            journal = SweepJournal(
+            journal = RequestJournal(
                 Path(args.cache_dir) / "journal.jsonl", resume=args.resume
             )
         registry = MetricsRegistry()
@@ -874,7 +878,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         from ..obs.metrics import MetricsRegistry, to_openmetrics
         from .cache import ResultCache, TraceStore
-        from .faults import RetryPolicy, SweepJournal, parse_fault_spec
+        from .faults import RetryPolicy, parse_fault_spec
         from .report import build_report, render_report, write_report
 
         cache = None
@@ -889,9 +893,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
             return 2
         if args.cache_dir and not args.no_cache:
+            # Only a cache dir pays for importing the service package.
+            from ..service.journal import RequestJournal
+
             cache = ResultCache(args.cache_dir)
             traces = TraceStore(Path(args.cache_dir) / "traces")
-            journal = SweepJournal(
+            journal = RequestJournal(
                 Path(args.cache_dir) / "journal.jsonl", resume=args.resume
             )
         faults = None
@@ -976,6 +983,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             write_bench,
         )
 
+        periods = {} if args.periods is None else {"periods": args.periods}
         if args.large:
             import json as _json
 
@@ -986,8 +994,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                 n=args.large_n if args.large_n is not None else LARGE_BENCH_N,
                 calibration_n=args.calibration_n,
                 seed=args.seed,
-                periods=args.periods,
                 platforms=args.platforms,
+                **periods,
             )
             write_bench(out, result)
             print(f"wrote {out}")
@@ -1009,10 +1017,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         ns = args.ns or (DEFAULT_BENCH_NS if args.full else SMOKE_BENCH_NS)
         result = run_bench(
-            ns=ns,
-            platforms=args.platforms,
-            seed=args.seed,
-            periods=args.periods,
+            ns=ns, platforms=args.platforms, seed=args.seed, **periods
         )
         write_bench(args.out, result)
         print(f"wrote {args.out}")

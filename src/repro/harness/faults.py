@@ -21,10 +21,11 @@ story the modelled machines get:
 * :class:`RetryPolicy` — bounded retries with a deterministic
   exponential backoff and an optional per-shard timeout, consulted by
   :func:`repro.harness.parallel.measure_cells`.
-* :class:`SweepJournal` — an atomic, append-only, fsynced journal of
-  completed measurement cells under the cache dir.  After a crash or
-  SIGKILL, ``atm-repro report --resume`` replays the journal and
-  recomputes only the unfinished cells.
+* the journal line helpers — self-verifying, fsynced JSONL lines — of
+  the one checkpoint journal,
+  :class:`~repro.service.journal.RequestJournal`.  After a crash or
+  SIGKILL, ``atm-repro report --resume`` serves finished cells from it
+  and recomputes only the unfinished ones.
 
 Because every measurement cell is a pure function of its arguments,
 **a retried shard produces the same bytes as an untroubled one** — the
@@ -42,21 +43,17 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Union
+from typing import Any, Dict, Mapping, Optional, Union
 
 from ..core.canonical import fingerprint_of
 from ..obs import span as obs_span
 from ..obs.metrics import metric_inc
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .sweep import PlatformMeasurement
 
 __all__ = [
     "FAULT_KINDS",
     "SERVICE_FAULT_KINDS",
     "FaultPlan",
     "RetryPolicy",
-    "SweepJournal",
     "decode_journal_line",
     "encode_journal_line",
     "fault_span",
@@ -309,29 +306,19 @@ def parse_fault_spec(spec: str) -> FaultPlan:
 # ---------------------------------------------------------------------------
 
 
-def encode_journal_line(
-    record: Mapping[str, Any], *, payload_field: Optional[str] = None
-) -> str:
+def encode_journal_line(record: Mapping[str, Any]) -> str:
     """One self-verifying journal line (no trailing newline).
 
-    The line carries its own ``sha256`` content digest so a line torn
-    by SIGKILL mid-write — or rotted on disk — is detected and dropped
-    by :func:`decode_journal_line`, never half-read.  With
-    ``payload_field`` the digest covers only that sub-object (the
-    :class:`SweepJournal` wire format); without it the digest covers
-    the whole record sans the digest itself (the service
-    :class:`~repro.service.journal.RequestJournal` format, whose lines
-    have more than one shape).
+    The line carries its own ``sha256`` digest of the whole record, so
+    a line torn by SIGKILL mid-write — or rotted on disk — is detected
+    and dropped by :func:`decode_journal_line`, never half-read.
     """
     body = {k: v for k, v in record.items() if k != "sha256"}
-    digest_over = body[payload_field] if payload_field else body
-    body["sha256"] = fingerprint_of(digest_over)
+    body["sha256"] = fingerprint_of(body)
     return json.dumps(body, sort_keys=True)
 
 
-def decode_journal_line(
-    line: str, *, payload_field: Optional[str] = None
-) -> Optional[Dict[str, Any]]:
+def decode_journal_line(line: str) -> Optional[Dict[str, Any]]:
     """Parse and verify one journal line; None when torn or tampered."""
     try:
         record = json.loads(line)
@@ -339,8 +326,7 @@ def decode_journal_line(
             raise ValueError("journal line is not an object")
         digest = record["sha256"]
         body = {k: v for k, v in record.items() if k != "sha256"}
-        digest_over = body[payload_field] if payload_field else body
-        if digest != fingerprint_of(digest_over):
+        if digest != fingerprint_of(body):
             raise ValueError("journal line digest mismatch")
     except (ValueError, KeyError, TypeError):
         return None
@@ -350,8 +336,7 @@ def decode_journal_line(
 def append_journal_line(path: Union[str, Path], line: str) -> None:
     """Append one line, flushed **and fsynced** before returning.
 
-    Only after the fsync may the caller treat the record as durable —
-    both journals call this before acknowledging anything.
+    Only after the fsync may the caller treat the record as durable.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -359,103 +344,3 @@ def append_journal_line(path: Union[str, Path], line: str) -> None:
         fh.write(line + "\n")
         fh.flush()
         os.fsync(fh.fileno())
-
-
-class SweepJournal:
-    """Atomic append-only journal of completed measurement cells.
-
-    One JSON line per completed (backend, fleet-size) cell::
-
-        {"key": <cell fingerprint>, "sha256": <payload digest>,
-         "measurement": {...}}
-
-    ``key`` is the same fingerprint the :class:`~repro.harness.cache.ResultCache`
-    uses (backend ``describe()`` + task parameters + library version),
-    so a journal line can never resurrect a cell whose cost model has
-    changed since the crash.  Every line is flushed and fsynced before
-    the cell is considered checkpointed, and each line carries its own
-    content digest, so a line torn by SIGKILL mid-write is detected and
-    dropped on resume — never half-read.
-
-    ``resume=False`` (a fresh run) discards any previous journal;
-    ``resume=True`` loads it and serves completed cells via
-    :meth:`lookup`, counted on ``atm_shards{source="journal"}``.
-    """
-
-    def __init__(self, path: Union[str, Path], *, resume: bool = False) -> None:
-        self.path = Path(path)
-        self.resume = bool(resume)
-        #: cells served from the journal this run.
-        self.resumed_cells = 0
-        #: torn / corrupt lines dropped while loading.
-        self.dropped_lines = 0
-        #: cells appended this run.
-        self.recorded = 0
-        self._entries: Dict[str, Dict[str, Any]] = {}
-        self._seen: set = set()
-        if self.resume:
-            self._load()
-        elif self.path.exists():
-            self.path.unlink()
-
-    def _load(self) -> None:
-        try:
-            text = self.path.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            return
-        except OSError:
-            fault_span("io-error", path=str(self.path))
-            return
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            record = decode_journal_line(line, payload_field="measurement")
-            if record is None or "key" not in record:
-                # A torn tail from SIGKILL mid-append, or on-disk rot:
-                # drop the line, keep the rest — and say so.
-                self.dropped_lines += 1
-                fault_span("journal-torn-line", path=str(self.path))
-                continue
-            self._entries[record["key"]] = record["measurement"]
-            self._seen.add(record["key"])
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def lookup(self, key: str) -> Optional["PlatformMeasurement"]:
-        """The checkpointed measurement under ``key``, or None (counted)."""
-        payload = self._entries.get(key)
-        if payload is None:
-            return None
-        from .sweep import PlatformMeasurement
-
-        self.resumed_cells += 1
-        return PlatformMeasurement.from_dict(payload)
-
-    def record(self, key: str, measurement: "PlatformMeasurement") -> None:
-        """Append one completed cell (flushed + fsynced before returning)."""
-        if key in self._seen:
-            return
-        payload = measurement.to_dict()
-        line = encode_journal_line(
-            {"key": key, "measurement": payload}, payload_field="measurement"
-        )
-        append_journal_line(self.path, line)
-        self._seen.add(key)
-        self._entries[key] = payload
-        self.recorded += 1
-
-    def stats(self) -> Dict[str, Any]:
-        return {
-            "path": str(self.path),
-            "entries": len(self._entries),
-            "resumed_cells": self.resumed_cells,
-            "recorded": self.recorded,
-            "dropped_lines": self.dropped_lines,
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"<SweepJournal {str(self.path)!r} entries={len(self._entries)} "
-            f"resumed={self.resumed_cells}>"
-        )

@@ -8,9 +8,11 @@ engine behind ``sweep(..., jobs=N)``:
 
 * every cell is a **shard**: ``(registry name, fleet size)`` plus the
   shared task parameters;
-* shards whose key is in the :class:`~repro.harness.cache.ResultCache`
-  (or in a resumed :class:`~repro.harness.faults.SweepJournal`) are
-  served in the parent process without touching a cost model;
+* shards whose key is in the :class:`~repro.harness.cache.CellStore` —
+  its memory tier, its :class:`~repro.harness.cache.ResultCache` or a
+  resumed checkpoint journal — are served in the parent process
+  without touching a cost model, and every fresh cell is committed to
+  the same store;
 * remaining shards run on a ``ProcessPoolExecutor`` when ``jobs > 1``
   (registry-name specs only — live :class:`~repro.backends.base.Backend`
   *instances* may carry state, so they always run in the parent, in
@@ -36,10 +38,12 @@ Faults can be injected deterministically for tests and chaos runs via
 
 Every shard emits one ``harness.shard`` span (category ``harness``) on
 the parent's :mod:`repro.obs` collector, carrying the platform, fleet
-size, result source (``cache`` / ``journal`` / ``pool`` / ``inline``)
-and the shard's modelled seconds, and counts the source in
-``atm_shards``; every failure emits a ``harness.fault`` span counted in
-``atm_faults``.  See docs/parallel-and-caching.md.
+size, result source (the store tier ``memory`` / ``cache`` /
+``journal``, or ``pool`` / ``inline``) and the shard's modelled
+seconds, and counts the source in ``atm_shards``; every failure emits a
+``harness.fault`` span counted in ``atm_faults``.  Pool workers ship
+their spans and their operational metrics home.  See
+docs/parallel-and-caching.md.
 """
 
 from __future__ import annotations
@@ -48,10 +52,10 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..analysis.deadlines import record_cell_metrics
 from ..core.sweepline import resolve_pruning
@@ -59,9 +63,12 @@ from ..obs import SpanRecord
 from ..obs import get_collector as obs_get_collector
 from ..obs import is_active as obs_is_active
 from ..obs import span as obs_span
-from ..obs.metrics import metric_inc
-from .cache import ResultCache, TraceStore
-from .faults import FaultPlan, RetryPolicy, SweepJournal, fault_span
+from ..obs.metrics import get_registry, metric_inc
+from .cache import CellStore, ResultCache, TraceStore
+from .faults import FaultPlan, RetryPolicy, fault_span
+
+if TYPE_CHECKING:  # pragma: no cover - the service package is imported lazily
+    from ..service.journal import RequestJournal
 
 __all__ = [
     "SweepOptions",
@@ -106,8 +113,9 @@ class SweepOptions:
     retry: RetryPolicy = RetryPolicy()
     #: deterministic fault injector (chaos tests, --inject-faults).
     faults: Optional[FaultPlan] = None
-    #: checkpoint journal of completed cells (--resume), or None.
-    journal: Optional[SweepJournal] = None
+    #: checkpoint journal of finished cells (--resume), the slowest
+    #: tier of every cell store the engine builds, or None.
+    journal: Optional["RequestJournal"] = None
 
 
 _OPTIONS: ContextVar[SweepOptions] = ContextVar(
@@ -205,8 +213,10 @@ def _measure_shard(
     inject: Optional[Tuple[str, float]] = None,
     collect: bool = False,
     pruning: str = "auto",
+    metrics: bool = False,
 ) -> Dict[str, Any]:
-    """Measure one (registry name, fleet size) cell; return its dict form.
+    """Measure one (registry name, fleet size) cell; return its dict form
+    as ``{"measurement": ..., "obs": ..., "metrics": ...}``.
 
     Runs in a worker process: resolves a *fresh* backend from the
     registry, so the cell is a pure function of its arguments, and
@@ -229,22 +239,26 @@ def _measure_shard(
     ``oserror`` raises a transient ``OSError``.
 
     ``collect=True`` runs the cell under a private in-worker collector
-    and returns ``{"measurement": ..., "obs": {spans, events}}``
-    instead of the bare measurement dict, so the parent can adopt the
-    worker's task/kernel spans under its shard span
-    (:meth:`~repro.obs.Collector.adopt`) and the merged trace looks the
-    same as a serial run's.
+    and returns its ``{spans, events}`` under ``"obs"`` (else None), so
+    the parent can adopt the worker's task/kernel spans under its shard
+    span (:meth:`~repro.obs.Collector.adopt`) and the merged trace looks
+    the same as a serial run's.  ``metrics=True`` likewise records into
+    a private registry and returns its snapshot under ``"metrics"``,
+    without the deterministic families: the parent records each pool
+    cell's deadline series itself, in ``_emit_shard``.
     """
     _obey_fault_directive(inject)
     from ..core.collision import DetectionMode
     from ..core.trace import FunctionalTrace
     from ..obs import Collector, collecting
+    from ..obs.metrics import recording
     from .sweep import measure_platform
 
     trace = False if trace_payload is None else FunctionalTrace.from_dict(trace_payload)
-
-    def run():
-        return measure_platform(
+    with ExitStack() as scopes:
+        c = scopes.enter_context(collecting(Collector())) if collect else None
+        r = scopes.enter_context(recording()) if metrics else None
+        m = measure_platform(
             spec,
             n,
             seed=seed,
@@ -255,16 +269,18 @@ def _measure_shard(
             journal=False,
             pruning=pruning,
         )
-
-    if not collect:
-        return run().to_dict()
-    with collecting(Collector()) as c:
-        m = run()
     return {
         "measurement": m.to_dict(),
-        "obs": {
+        "obs": None if c is None else {
             "spans": [s.to_event() for s in c.spans],
             "events": c.events,
+        },
+        "metrics": None if r is None else {
+            "families": {
+                name: family
+                for name, family in r.snapshot()["families"].items()
+                if not family["deterministic"]
+            }
         },
     }
 
@@ -358,20 +374,17 @@ def _probe_stores(
     mode: Any,
     pruning: str,
     jobs: int,
-    cache: Optional[ResultCache],
-    journal: Optional[SweepJournal],
+    store: CellStore,
 ) -> Tuple[Optional[str], Any]:
     """The cell's store key and its stored measurement, if any.
 
-    The key is None when no store is set or the cell is not pure: only a
-    registry name (a fresh backend per cell) or a backend with
+    The key is None when the store has no tier or the cell is not pure:
+    only a registry name (a fresh backend per cell) or a backend with
     deterministic timing is stored, never a stateful instance such as
-    the MIMD model mid-experiment.  The lookup tries the result cache,
-    then the journal; a hit emits the cell's shard (source
-    ``cache``/``journal``) and is copied into the other store, so a
-    resumed run finds it in either.
+    the MIMD model mid-experiment.  A hit emits the cell's shard, whose
+    source is the tier that held it (``memory``/``cache``/``journal``).
     """
-    if (cache is None and journal is None) or not (
+    if not store.enabled or not (
         isinstance(spec, str) or backend.deterministic_timing
     ):
         return None, None
@@ -383,33 +396,10 @@ def _probe_stores(
         mode=mode,
         pruning="on" if resolve_pruning(pruning, n) else "off",
     )
-    if cache is not None:
-        hit = cache.get(key)
-        if hit is not None:
-            _emit_shard(backend.name, n, "cache", jobs, hit)
-            if journal is not None:
-                journal.record(key, hit)
-            return key, hit
-    if journal is not None:
-        hit = journal.lookup(key)
-        if hit is not None:
-            _emit_shard(backend.name, n, "journal", jobs, hit)
-            if cache is not None:
-                cache.put(key, hit)
-            return key, hit
-    return key, None
-
-
-def _commit_cell(
-    key: Optional[str], measurement: Any, cache: Any, journal: Any
-) -> None:
-    """Store a freshly measured cell: result cache, then journal."""
-    if key is None:
-        return
-    if cache is not None:
-        cache.put(key, measurement)
-    if journal is not None:
-        journal.record(key, measurement)
+    hit, tier = store.get(key)
+    if hit is not None:
+        _emit_shard(backend.name, n, tier, jobs, hit)
+    return key, hit
 
 
 def _shard_id(platform: str, n: int) -> str:
@@ -560,8 +550,7 @@ def _execute_pool_shards(
     mode: Any,
     mode_value: str,
     jobs: int,
-    cache: Optional[ResultCache],
-    journal: Optional[SweepJournal],
+    store: CellStore,
     opts: SweepOptions,
 ) -> List[Tuple[int, int, Any, Optional[str]]]:
     """Run the poolable shards; return the ones degraded to inline.
@@ -603,6 +592,7 @@ def _execute_pool_shards(
         attempts = [0] * len(poolable)
         # Ship worker traces home only when someone is listening.
         collect = obs_is_active()
+        registry = get_registry()
 
         def submit(idx: int):
             i, j, spec, _ = poolable[idx]
@@ -623,6 +613,7 @@ def _execute_pool_shards(
                 inject,
                 collect,
                 opts.pruning,
+                registry is not None,
             )
 
         futures = [submit(idx) for idx in range(len(poolable))]
@@ -678,13 +669,13 @@ def _execute_pool_shards(
                 futures[idx] = submit(idx)
             if result is None:
                 continue  # degraded; the inline loop finishes it
-            worker_obs = result.get("obs") if collect else None
-            m = PlatformMeasurement.from_dict(
-                result["measurement"] if collect else result
-            )
-            _emit_shard(names[i], ns[j], "pool", jobs, m, worker_obs=worker_obs)
+            m = PlatformMeasurement.from_dict(result["measurement"])
+            _emit_shard(names[i], ns[j], "pool", jobs, m, worker_obs=result["obs"])
+            if result["metrics"] is not None:
+                registry.load_snapshot(result["metrics"])
             rows[i][j] = m
-            _commit_cell(key, m, cache, journal)
+            if key is not None:
+                store.put(key, m)
     finally:
         box.shutdown()
     return degraded
@@ -698,15 +689,20 @@ def measure_cells(
     periods: int,
     mode: Any,
     jobs: int = 1,
-    cache: Optional[ResultCache] = None,
+    store: Optional[CellStore] = None,
 ) -> Tuple[List[str], List[List[Any]]]:
     """Measure every (spec, n) cell of the sweep matrix.
 
     Returns ``(names, rows)`` where ``names[i]`` is the resolved
     platform name of ``specs[i]`` and ``rows[i][j]`` the measurement of
     ``specs[i]`` at ``ns[j]`` — positional, regardless of how and where
-    each shard actually ran (cache, journal, pool, inline, or any of
-    the fault-recovery paths in between).
+    each shard actually ran (a store tier, pool, inline, or any of the
+    fault-recovery paths in between).
+
+    ``store`` is the :class:`~repro.harness.cache.CellStore` every cell
+    is probed in first and every fresh pure cell is committed to
+    (inline and pool alike); None measures everything and stores
+    nothing.
     """
     from ..backends.registry import resolve_backend
     from .sweep import PlatformMeasurement, measure_platform
@@ -714,7 +710,7 @@ def measure_cells(
     opts = current_options()
     retry = opts.retry
     plan = opts.faults
-    journal = opts.journal
+    store = store if store is not None else CellStore()
     jobs = max(1, int(jobs))
     resolved = [resolve_backend(spec) for spec in specs]
     names = [b.name for b in resolved]
@@ -730,7 +726,7 @@ def measure_cells(
         for j, n in enumerate(ns):
             key, rows[i][j] = _probe_stores(
                 spec, resolved[i], n, seed=seed, periods=periods, mode=mode,
-                pruning=opts.pruning, jobs=jobs, cache=cache, journal=journal,
+                pruning=opts.pruning, jobs=jobs, store=store,
             )
             if rows[i][j] is None:
                 pending.append((i, j, spec, key))
@@ -751,8 +747,7 @@ def measure_cells(
             mode=mode,
             mode_value=mode_value,
             jobs=jobs,
-            cache=cache,
-            journal=journal,
+            store=store,
             opts=opts,
         )
         inline = degraded + inline
@@ -797,6 +792,7 @@ def measure_cells(
                 time.sleep(retry.backoff_for(attempt - 1))
         metric_inc("atm_shards", source="inline")
         rows[i][j] = m
-        _commit_cell(key, m, cache, journal)
+        if key is not None:
+            store.put(key, m)
 
     return names, rows

@@ -100,8 +100,10 @@ def build_report(
         A :class:`~repro.harness.faults.FaultPlan` injecting
         deterministic chaos (``--inject-faults``); None runs clean.
     journal:
-        A :class:`~repro.harness.faults.SweepJournal` checkpointing
-        completed sweep cells (``--resume``); None disables
+        A :class:`~repro.service.journal.RequestJournal` checkpointing
+        finished sweep cells as ``served`` lines and, with
+        ``resume=True``, serving them back (``--resume``); the slowest
+        tier of each cell store, behind ``cache``.  None disables
         checkpointing.  See docs/robustness.md.
     pruning:
         Candidate-pruning policy for the functional passes

@@ -44,7 +44,8 @@ from ..core.types import TaskTiming
 from ..analysis.deadlines import record_cell_metrics
 from ..obs import span as obs_span
 from ..obs.metrics import metric_inc, metric_set
-from .parallel import _commit_cell, _probe_stores, current_options, measure_cells
+from .cache import CellStore
+from .parallel import _probe_stores, current_options, measure_cells
 
 __all__ = [
     "DEFAULT_NS_ALL_PLATFORMS",
@@ -297,11 +298,13 @@ def measure_platform(
     ``cache`` is a :class:`~repro.harness.cache.ResultCache` to memoize
     through, ``None`` to use the ambient
     :func:`~repro.harness.parallel.sweep_options` cache, or ``False`` to
-    force a fresh measurement.  Caching applies when the backend came
-    from a registry name (a fresh instance is resolved, so the cell is a
-    pure function of the name) or advertises ``deterministic_timing``;
-    a stateful instance — the MIMD model mid-experiment — is never
-    served from or written to the cache.
+    force a fresh measurement.  The cache and the journal (below) are
+    the tiers of one :class:`~repro.harness.cache.CellStore`, probed
+    cache first; a fresh cell is written to both.  Storing applies when
+    the backend came from a registry name (a fresh instance is
+    resolved, so the cell is a pure function of the name) or advertises
+    ``deterministic_timing``; a stateful instance — the MIMD model
+    mid-experiment — is never served from or written to the store.
 
     ``trace`` selects where the functional records come from: ``None``
     follows the ambient :func:`~repro.harness.parallel.sweep_options`
@@ -314,11 +317,11 @@ def measure_platform(
     of them return byte-identical measurements — the equivalence tests
     compare them with the backend's direct task calls.
 
-    ``journal`` is a :class:`~repro.harness.faults.SweepJournal` to
-    checkpoint the cell in (and, when resuming, to serve it from),
-    ``None`` to use the ambient journal, or ``False`` for neither —
-    the sweep engine passes ``False`` because it owns all journal
-    traffic itself.
+    ``journal`` is a :class:`~repro.service.journal.RequestJournal` to
+    checkpoint the cell in (a ``served`` line) and, when resuming, to
+    serve it from; ``None`` uses the ambient journal, and ``False``
+    neither — the sweep engine passes ``False`` because it owns all
+    store traffic itself.
 
     ``pruning`` is a candidate-pruning policy ("auto"/"on"/"off" or a
     :class:`~repro.core.sweepline.PruningPolicy`), ``None`` for the
@@ -335,8 +338,11 @@ def measure_platform(
     pruning_policy = opts.pruning if pruning is None else str(
         getattr(pruning, "value", pruning)
     )
-    resolved_journal = opts.journal if journal is None else (
-        None if journal is False else journal
+    store = CellStore(
+        cache=resolved_cache,
+        journal=opts.journal if journal is None else (
+            None if journal is False else journal
+        ),
     )
     spec = backend
     backend = resolve_backend(spec)
@@ -344,8 +350,7 @@ def measure_platform(
     # probe emits a shard span that keeps warm traces fully attributed.
     key, stored = _probe_stores(
         spec, backend, n, seed=seed, periods=periods, mode=mode,
-        pruning=pruning_policy, jobs=opts.jobs, cache=resolved_cache,
-        journal=resolved_journal,
+        pruning=pruning_policy, jobs=opts.jobs, store=store,
     )
     if stored is not None:
         return stored
@@ -365,10 +370,11 @@ def measure_platform(
         task23=t23,
     )
     # The deadline SLO monitor sees every freshly-measured cell here;
-    # cells served from cache/journal/pool record via _emit_shard, so
-    # each returned measurement is recorded exactly once per process.
+    # cells served from a store tier or the pool record via _emit_shard,
+    # so each returned measurement is recorded exactly once per process.
     record_cell_metrics(backend.name, n, task1, t23.seconds)
-    _commit_cell(key, measurement, resolved_cache, resolved_journal)
+    if key is not None:
+        store.put(key, measurement)
     return measurement
 
 
@@ -436,7 +442,8 @@ def sweep(
     :func:`~repro.harness.parallel.sweep_options`; pass ``jobs>1`` to
     shard cells across worker processes, a
     :class:`~repro.harness.cache.ResultCache` (or ``False``) to
-    override the ambient cache, ``trace=False`` to give every cell a
+    override the ambient cache — with the ambient journal, the tiers of
+    the sweep's cell store — ``trace=False`` to give every cell a
     private functional pass instead of a shared trace, and ``pruning``
     to set the candidate-pruning policy ("auto"/"on"/"off"; outputs are
     bit-identical either way).  The result is merged by matrix
@@ -456,7 +463,7 @@ def sweep(
             periods=periods,
             mode=mode,
             jobs=jobs,
-            cache=resolved_cache,
+            store=CellStore(cache=resolved_cache, journal=opts.journal),
         )
     data = SweepData(ns=tuple(ns))
     for name, platform_rows in zip(names, rows):

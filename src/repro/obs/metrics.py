@@ -393,7 +393,7 @@ DECLARATIONS: Dict[str, MetricDecl] = {
             kind="counter",
             help=(
                 "Sweep shards by where their result came from; labels:"
-                " source (cache|journal|pool|inline)"
+                " source (memory|cache|journal|pool|inline)"
             ),
         ),
         MetricDecl(

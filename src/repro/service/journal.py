@@ -1,36 +1,37 @@
-"""Durable request journal for the sweep service (docs/service.md).
+"""The checkpoint journal of finished and admitted cells (docs/service.md).
 
-The batch harness survives SIGKILL because every finished cell is
-checkpointed in a :class:`~repro.harness.faults.SweepJournal`.  The
-service needs the same guarantee one layer up: **no admitted request is
-ever lost**, even when the process dies mid-burst.  The
-:class:`RequestJournal` gives the server a write-ahead log with the
-same line-digest/torn-line discipline as the sweep journal (shared
-helpers in :mod:`repro.harness.faults`):
+One journal class serves both layers that must survive SIGKILL.  The
+batch harness (``atm-repro report|search --resume``) and the service
+(``atm-repro serve --resume``) both write a :class:`RequestJournal`
+through :class:`~repro.harness.cache.CellStore`, whose journal tier it
+is.  Line-digest and torn-line helpers live in
+:mod:`repro.harness.faults`.
 
-* ``admitted`` lines are appended — flushed and fsynced — *before* an
-  admitted cell enters the dispatch queue, so the admission decision is
-  durable before any client could observe it.
-* ``served`` lines carry the full measurement payload once the cell
-  finishes, digest-verified exactly like a sweep-journal line.
+* ``admitted`` lines (service only) are appended — flushed and fsynced
+  — *before* an admitted cell enters the dispatch queue, so the
+  admission decision is durable before any client could observe it.
+* ``served`` lines carry the full measurement payload of a finished
+  cell; the cell store appends one for every fresh cell it commits.
 
-On ``atm-repro serve --resume`` the journal is replayed: ``served``
-measurements are restored straight into the in-process memory tier, and
-``admitted``-but-never-``served`` cells are re-enqueued through the
+On ``--resume`` the journal is loaded: ``served`` measurements answer
+:meth:`RequestJournal.lookup` (the store's slowest tier), and the
+service re-enqueues ``admitted``-but-never-``served`` cells through the
 normal batch dispatcher.  Because every measurement cell is a pure
 function of ``(platform, n, seed, periods, mode)``, a replayed cell
-produces **byte-identical** response payloads to the uninterrupted run
-— the chaos suite (``tests/service/test_chaos.py``) SIGKILLs a live
-server mid-burst and proves it.
+produces **byte-identical** payloads to the uninterrupted run — the
+chaos suites (``tests/harness/test_faults.py``,
+``tests/service/test_chaos.py``) kill live runs and prove it.
 
-Torn lines (SIGKILL mid-append, or an injected ``corrupt-journal``
-bit-flip) are detected by the per-line digest and dropped — counted,
-never half-read.  A dropped ``admitted`` line is safe: its client never
-got an acknowledgement, and re-requesting recomputes the same bytes.
+Torn lines (SIGKILL mid-append, an injected ``corrupt-journal``
+bit-flip, or a ``served`` payload that does not decode) are detected at
+load and dropped — counted, never half-read.  A dropped ``admitted``
+line is safe: its client never got an acknowledgement, and
+re-requesting recomputes the same bytes.
 """
 
 from __future__ import annotations
 
+import threading
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, Optional, Union
 
@@ -49,9 +50,9 @@ __all__ = ["RequestJournal"]
 
 
 class RequestJournal:
-    """Write-ahead journal of admitted and served service cells.
+    """Write-ahead journal of admitted and served cells.
 
-    One JSON line per event, each carrying its own content digest::
+    One JSON line per event, each carrying a digest of the whole line::
 
         {"event": "admitted", "key": <cache fingerprint>,
          "cell": {"platform": ..., "n": ..., ...}, "sha256": ...}
@@ -67,6 +68,9 @@ class RequestJournal:
     ``resume=False`` (a fresh run) discards any previous journal;
     ``resume=True`` loads it, exposing restored measurements via
     :meth:`lookup` and the unfinished remainder via :meth:`pending`.
+    Two threads may share one journal: appends go one at a time, so
+    every line stays whole, and :meth:`lookup`, :meth:`pending` and
+    :meth:`stats` never wait behind one's fsync.
     """
 
     def __init__(
@@ -83,12 +87,20 @@ class RequestJournal:
         self.dropped_lines = 0
         #: admit/served lines appended this run.
         self.recorded = 0
+        #: lookups answered from a served line loaded at resume.
+        self.resumed_cells = 0
         #: appends this run (the corrupt-journal injection key).
         self._append_seq = 0
         #: key -> validated cell dict, in admission order.
         self._admitted: Dict[str, Dict[str, Any]] = {}
-        #: key -> measurement payload dict.
-        self._served: Dict[str, Dict[str, Any]] = {}
+        #: key -> served measurement, decoded once.
+        self._served: Dict[str, "PlatformMeasurement"] = {}
+        #: keys of the served lines loaded at resume.
+        self._restored: frozenset = frozenset()
+        #: one append at a time, held across its fsync.
+        self._lock = threading.Lock()
+        #: the maps and counters; never held across I/O.
+        self._maps = threading.Lock()
         if self.resume:
             self._load()
         elif self.path.exists():
@@ -97,6 +109,8 @@ class RequestJournal:
     # -- loading --------------------------------------------------------
 
     def _load(self) -> None:
+        from ..harness.sweep import PlatformMeasurement
+
         try:
             text = self.path.read_text(encoding="utf-8")
         except FileNotFoundError:
@@ -104,6 +118,9 @@ class RequestJournal:
         except OSError:
             fault_span("io-error", path=str(self.path))
             return
+        if text and not text.endswith("\n"):
+            # End the torn tail, so the next append starts its own line.
+            append_journal_line(self.path, "")
         for line in text.splitlines():
             if not line.strip():
                 continue
@@ -115,10 +132,16 @@ class RequestJournal:
             event = record.get("event")
             if event == "admitted" and isinstance(record.get("cell"), dict):
                 self._admitted.setdefault(key, record["cell"])
-            elif event == "served" and isinstance(record.get("measurement"), dict):
-                self._served[key] = record["measurement"]
+            elif event == "served":
+                try:
+                    measurement = PlatformMeasurement.from_dict(record["measurement"])
+                except (KeyError, TypeError, ValueError):
+                    self._drop_line()
+                    continue
+                self._served[key] = measurement
             else:
                 self._drop_line()
+        self._restored = frozenset(self._served)
 
     def _drop_line(self) -> None:
         # A torn tail from SIGKILL mid-append, injected corruption, or
@@ -129,6 +152,7 @@ class RequestJournal:
     # -- appending ------------------------------------------------------
 
     def _append(self, record: Dict[str, Any]) -> None:
+        """Append one line; the caller holds the append lock."""
         append_journal_line(self.path, encode_journal_line(record))
         self.recorded += 1
         self._append_seq += 1
@@ -139,41 +163,42 @@ class RequestJournal:
 
     def record_admitted(self, key: str, cell: Dict[str, Any]) -> None:
         """Durably record one admitted cell **before** it is enqueued."""
-        if key in self._admitted or key in self._served:
-            return
-        self._admitted[key] = dict(cell)
-        self._append({"event": "admitted", "key": key, "cell": dict(cell)})
+        with self._lock:
+            if key in self._admitted or key in self._served:
+                return
+            self._append({"event": "admitted", "key": key, "cell": dict(cell)})
+            with self._maps:
+                self._admitted[key] = dict(cell)
 
     def record_served(self, key: str, measurement: "PlatformMeasurement") -> None:
         """Durably record one finished cell's full payload."""
-        if key in self._served:
-            return
         payload = measurement.to_dict()
-        self._served[key] = payload
-        self._append({"event": "served", "key": key, "measurement": payload})
+        with self._lock:
+            if key in self._served:
+                return
+            self._append({"event": "served", "key": key, "measurement": payload})
+            with self._maps:
+                self._served[key] = measurement
 
     # -- replay ---------------------------------------------------------
 
     def lookup(self, key: str) -> Optional["PlatformMeasurement"]:
-        """The journaled measurement under ``key``, or None."""
-        payload = self._served.get(key)
-        if payload is None:
-            return None
-        from ..harness.sweep import PlatformMeasurement
-
-        return PlatformMeasurement.from_dict(payload)
-
-    def served_items(self) -> Dict[str, Dict[str, Any]]:
-        """Every served ``key -> measurement payload`` (loaded + new)."""
-        return dict(self._served)
+        """The journaled measurement under ``key``, or None.  A hit on a
+        line loaded at resume counts in ``resumed_cells``."""
+        hit = self._served.get(key)  # one dict read: atomic
+        if hit is not None and key in self._restored:
+            with self._maps:
+                self.resumed_cells += 1
+        return hit
 
     def pending(self) -> Dict[str, Dict[str, Any]]:
         """Admitted-but-unserved ``key -> cell dict``, admission order."""
-        return {
-            key: dict(cell)
-            for key, cell in self._admitted.items()
-            if key not in self._served
-        }
+        with self._maps:
+            return {
+                key: dict(cell)
+                for key, cell in self._admitted.items()
+                if key not in self._served
+            }
 
     def __len__(self) -> int:
         return len(self._admitted) + len(self._served)
@@ -185,6 +210,7 @@ class RequestJournal:
             "served": len(self._served),
             "pending": len(self.pending()),
             "recorded": self.recorded,
+            "resumed_cells": self.resumed_cells,
             "dropped_lines": self.dropped_lines,
         }
 

@@ -25,6 +25,11 @@ reimplementing it:
   (emitted atomically at completion, so interleaved asyncio tasks can
   never misnest the span tree) and the ``atm_service_*`` metric
   families; ``GET /metrics`` exposes the registry as OpenMetrics.
+* **One cell store** — the memory LRU, the result cache and the request
+  journal are the tiers of one :class:`~repro.harness.cache.CellStore`:
+  submits read it on the event loop, and the sweep engine commits each
+  fresh cell to every tier on the dispatch thread, before the cell's
+  future resolves.
 * **Crash safety** — admitted cells are fsynced into a
   :class:`~repro.service.journal.RequestJournal` *before* they enter
   the dispatch queue, so ``atm-repro serve --resume`` replays exactly
@@ -47,7 +52,6 @@ import functools
 import json
 import signal
 import time
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -56,6 +60,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 from ..analysis.deadlines import AdmissionController, AdmissionVerdict
 from ..backends.registry import available_backends
 from ..core.collision import DetectionMode
+from ..harness.cache import CellStore
 from ..harness.faults import FaultPlan
 from ..obs import span as obs_span
 from ..obs.metrics import (
@@ -185,8 +190,10 @@ class SweepService:
             self.journal = RequestJournal(
                 journal_path, resume=config.resume, faults=config.faults
             )
-        #: cache fingerprint -> measurement, hot in-process tier.
-        self._memory: "OrderedDict[str, Any]" = OrderedDict()
+        #: finished cells: memory LRU -> result cache -> journal.
+        self.store = CellStore(
+            cache=self.cache, journal=self.journal, memory_cells=config.memory_cells
+        )
         #: cache fingerprint -> future of the in-flight cell (coalescing).
         self._inflight_cells: Dict[str, "asyncio.Future[Any]"] = {}
         self._queue: "asyncio.Queue[_PendingCell]" = asyncio.Queue()
@@ -229,9 +236,10 @@ class SweepService:
         self._replay_journal()
 
     def _replay_journal(self) -> None:
-        """Act on a resumed request journal: restore and re-enqueue.
+        """Act on a resumed request journal: count and re-enqueue.
 
-        ``served`` payloads reload straight into the memory tier;
+        ``served`` entries stay in the journal, the store's slowest
+        tier, which answers each on its first ask;
         ``admitted``-but-unserved cells re-enter the batch dispatcher as
         if their clients were still waiting, so by the time the journal
         settles every admitted fingerprint is served again — with
@@ -240,17 +248,10 @@ class SweepService:
         """
         if self.journal is None:
             return
-        from ..harness.sweep import PlatformMeasurement
-
-        for key, payload in self.journal.served_items().items():
-            try:
-                measurement = PlatformMeasurement.from_dict(payload)
-            except (KeyError, TypeError, ValueError):
-                metric_inc("atm_service_journal_replayed", kind="dropped")
-                continue
-            self._remember(key, measurement)
-            self._restored_cells += 1
-            metric_inc("atm_service_journal_replayed", kind="restored")
+        self._restored_cells = self.journal.stats()["served"]
+        metric_inc(
+            "atm_service_journal_replayed", float(self._restored_cells), kind="restored"
+        )
         loop = asyncio.get_running_loop()
         for key, cell in self.journal.pending().items():
             try:
@@ -377,25 +378,6 @@ class SweepService:
             "atm_service_queue_cells", float(self._pending_cells), kind="current"
         )
 
-    def _remember(self, key: str, measurement: Any) -> None:
-        self._memory[key] = measurement
-        self._memory.move_to_end(key)
-        while len(self._memory) > self.config.memory_cells:
-            self._memory.popitem(last=False)
-
-    def _lookup(self, key: str) -> Optional[Any]:
-        """Hot-tier then disk-cache lookup of one finished cell."""
-        hit = self._memory.get(key)
-        if hit is not None:
-            self._memory.move_to_end(key)
-            return hit
-        if self.cache is not None:
-            hit = self.cache.get(key)
-            if hit is not None:
-                self._remember(key, hit)
-                return hit
-        return None
-
     def stats(self) -> Dict[str, Any]:
         """Operational snapshot served at ``GET /stats``."""
         return {
@@ -408,7 +390,7 @@ class SweepService:
             "coalesced": self._coalesced,
             "rejected": self._rejected,
             "batches": self._batches,
-            "memory_cells": len(self._memory),
+            "memory_cells": len(self.store.memory_keys()),
             "cell_estimate_s": self.admission.cell_estimate_s,
             "jobs": self.config.jobs,
             "cache_dir": self.config.cache_dir,
@@ -434,7 +416,7 @@ class SweepService:
         outlives its own deadline budget.
         """
         key = request.cache_key()
-        hit = self._lookup(key)
+        hit, _tier = self.store.get(key)
         if hit is not None:
             return "cache", hit
         inflight = self._inflight_cells.get(key)
@@ -487,7 +469,7 @@ class SweepService:
         missing = {
             key
             for _, key in keyed
-            if self._lookup(key) is None and key not in self._inflight_cells
+            if self.store.get(key)[0] is None and key not in self._inflight_cells
         }
         verdict = self.admission.assess(
             len(missing), queue_depth=self._pending_cells, deadline_s=deadline_s
@@ -503,7 +485,7 @@ class SweepService:
         for cell, key in keyed:
             if key in ready or key in futures:
                 continue
-            hit = self._lookup(key)
+            hit, _tier = self.store.get(key)
             if hit is not None:
                 ready[key] = hit
                 continue
@@ -575,10 +557,8 @@ class SweepService:
                 metric_observe("atm_service_batch_cells", float(len(group)))
                 self.admission.observe_cell_seconds(elapsed, cells=len(group))
                 for item in group:
+                    # The engine already committed the cell to the store.
                     measurement = measured[(item.request.platform, item.request.n)]
-                    self._remember(item.key, measurement)
-                    if self.journal is not None:
-                        self.journal.record_served(item.key, measurement)
                     self._inflight_cells.pop(item.key, None)
                     self._track_cells(-1)
                     if not item.future.done():
@@ -590,9 +570,11 @@ class SweepService:
         Platforms requesting the same fleet-size set share a single
         :func:`~repro.harness.parallel.measure_cells` matrix — one
         process-pool dispatch, one functional trace per fleet size —
-        and the remainder go per-platform.  Runs on the single-threaded
-        dispatch executor, so harness state (ambient options, trace
-        memo, metrics) is never touched concurrently.
+        and the remainder go per-platform.  The engine probes the
+        service's cell store and commits every fresh cell to it (LRU,
+        cache, ``served`` journal line) before returning.  Runs on the
+        single-threaded dispatch executor, so harness state (ambient
+        options, trace memo, metrics) is never touched concurrently.
         """
         from ..harness.parallel import measure_cells, sweep_options
 
@@ -613,7 +595,6 @@ class SweepService:
         # are realised by the front-end and ignored here.
         with sweep_options(
             jobs=self.config.jobs,
-            cache=self.cache if self.cache is not None else False,
             traces=self.traces if self.traces is not None else False,
             faults=self.faults,
         ):
@@ -631,7 +612,7 @@ class SweepService:
                         periods=periods,
                         mode=mode,
                         jobs=self.config.jobs,
-                        cache=self.cache,
+                        store=self.store,
                     )
                 for name, row in zip(names, rows):
                     for j, n in enumerate(ns):

@@ -139,3 +139,75 @@ class TestDisplayTiming:
             display_timing(backend, 100, hard).seconds
             > display_timing(backend, 100, easy).seconds
         )
+
+
+def _frozen_build_display(fleet, scope=ScopeConfig()):
+    """``build_display`` as it was with two scalar ``np.clip`` calls per
+    candidate label cell: the oracle its array-clamped form must match."""
+    stats = DisplayStats(aircraft=fleet.n)
+    cx, cy = scope.project(fleet.x, fleet.y)
+
+    target_of_cell = {}
+    crowded = 0
+    for i in range(fleet.n):
+        cell = (int(cx[i]), int(cy[i]))
+        if cell in target_of_cell:
+            crowded += 1
+            if target_of_cell[cell] >= 0:
+                crowded += 1
+                target_of_cell[cell] = -1
+        else:
+            target_of_cell[cell] = i
+    stats.occupied_cells = len(target_of_cell)
+    stats.crowded_targets = crowded
+
+    taken = set(target_of_cell)
+    for i in range(fleet.n):
+        placed = False
+        for k, (ox, oy) in enumerate(((1, 0), (0, 1), (-1, 0), (0, -1))):
+            cell = (
+                int(np.clip(cx[i] + ox, 0, scope.cells - 1)),
+                int(np.clip(cy[i] + oy, 0, scope.cells - 1)),
+            )
+            if cell not in taken:
+                taken.add(cell)
+                stats.label_cells.append(cell)
+                if k == 0:
+                    stats.first_choice_labels += 1
+                else:
+                    stats.moved_labels += 1
+                placed = True
+                break
+        if not placed:
+            cell = (
+                int(np.clip(cx[i] + 1, 0, scope.cells - 1)),
+                int(np.clip(cy[i], 0, scope.cells - 1)),
+            )
+            stats.label_cells.append(cell)
+            stats.overlapping_labels += 1
+    return stats
+
+
+class TestMatchesFrozenReference:
+    @pytest.mark.parametrize("seed", [2018, 2019])
+    @pytest.mark.parametrize("n", [96, 480, 960])
+    def test_paper_fleets(self, n, seed):
+        fleet = setup_flight(n, seed=seed)
+        assert build_display(fleet) == _frozen_build_display(fleet)
+
+    @pytest.mark.parametrize("cells", [16, 24, 32])
+    def test_crowded_scope_overlaps_labels(self, cells):
+        """A coarse raster crowds the label slots, so first-choice,
+        moved and overlapping labels and the edge clamps all run."""
+        fleet = setup_flight(480, seed=2018)
+        scope = ScopeConfig(cells=cells)
+        stats = build_display(fleet, scope)
+        assert stats.first_choice_labels and stats.moved_labels
+        assert stats.overlapping_labels
+        assert stats == _frozen_build_display(fleet, scope)
+
+    def test_raster_edges(self):
+        """Targets on the raster's edges clamp their outward candidates."""
+        half = C.GRID_HALF_NM
+        fleet = fleet_at([(-half, -half), (half, half), (-half, half), (0.0, -half)])
+        assert build_display(fleet) == _frozen_build_display(fleet)

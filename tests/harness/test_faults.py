@@ -21,13 +21,13 @@ from repro.harness.faults import (
     FAULT_KINDS,
     FaultPlan,
     RetryPolicy,
-    SweepJournal,
     parse_fault_spec,
 )
 from repro.harness.parallel import sweep_options
 from repro.harness.sweep import sweep
 from repro.obs import collecting
 from repro.obs.metrics import recording
+from repro.service.journal import RequestJournal
 
 JOBS = int(os.environ.get("ATM_REPRO_TEST_JOBS", "2"))
 
@@ -285,10 +285,13 @@ class TestStoreIntegrity:
 
 
 class TestSweepJournal:
+    """The batch sweep's checkpoint journal: a RequestJournal of
+    ``served`` lines, the slowest tier of each sweep's cell store."""
+
     def test_fresh_journal_discards_previous_run(self, tmp_path):
         path = tmp_path / "journal.jsonl"
         path.write_text('{"stale": true}\n', encoding="utf-8")
-        journal = SweepJournal(path)
+        journal = RequestJournal(path)
         assert len(journal) == 0 and not path.exists()
 
     def test_resume_recomputes_only_unfinished_cells(self, tmp_path):
@@ -297,12 +300,12 @@ class TestSweepJournal:
         are measured, and the bytes match a clean run."""
         baseline = clean_sweep_json()
         path = tmp_path / "journal.jsonl"
-        first = SweepJournal(path)
+        first = RequestJournal(path)
         with sweep_options(journal=first):
             sweep(PLATFORMS, ns=NS[:1], periods=1)  # "crashed" after n=96
         assert first.recorded == len(PLATFORMS)
 
-        resumed = SweepJournal(path, resume=True)
+        resumed = RequestJournal(path, resume=True)
         with collecting() as c, recording() as r, sweep_options(journal=resumed):
             full = sweep(PLATFORMS, ns=NS, periods=1).to_canonical_json()
         assert full == baseline
@@ -316,10 +319,10 @@ class TestSweepJournal:
     def test_resume_composes_with_pool_execution(self, tmp_path):
         baseline = clean_sweep_json()
         path = tmp_path / "journal.jsonl"
-        first = SweepJournal(path)
+        first = RequestJournal(path)
         with sweep_options(journal=first):
             sweep(PLATFORMS, ns=NS[:1], periods=1)
-        resumed = SweepJournal(path, resume=True)
+        resumed = RequestJournal(path, resume=True)
         with recording() as r, sweep_options(journal=resumed):
             full = sweep(PLATFORMS, ns=NS, periods=1, jobs=JOBS).to_canonical_json()
         assert full == baseline
@@ -327,28 +330,28 @@ class TestSweepJournal:
 
     def test_torn_tail_line_is_dropped_not_fatal(self, tmp_path):
         path = tmp_path / "journal.jsonl"
-        journal = SweepJournal(path)
+        journal = RequestJournal(path)
         with sweep_options(journal=journal):
             sweep(["reference"], ns=NS, periods=1)
         # SIGKILL mid-append: a truncated, digest-less final line.
         with open(path, "a", encoding="utf-8") as fh:
             fh.write('{"key": "deadbeef", "measurement": {"pl')
         with recording() as r:
-            again = SweepJournal(path, resume=True)
+            again = RequestJournal(path, resume=True)
         assert again.dropped_lines == 1
         assert len(again) == len(NS)
         assert r.value("atm_faults", kind="journal-torn-line") == 1
 
     def test_tampered_line_fails_its_digest(self, tmp_path):
         path = tmp_path / "journal.jsonl"
-        journal = SweepJournal(path)
+        journal = RequestJournal(path)
         with sweep_options(journal=journal):
             sweep(["reference"], ns=NS[:1], periods=1)
         lines = path.read_text(encoding="utf-8").splitlines()
         record = json.loads(lines[0])
         record["measurement"]["n_aircraft"] = 4096
         path.write_text(json.dumps(record) + "\n", encoding="utf-8")
-        again = SweepJournal(path, resume=True)
+        again = RequestJournal(path, resume=True)
         assert again.dropped_lines == 1 and len(again) == 0
 
     def test_journal_keys_are_cost_model_sensitive(self, tmp_path, monkeypatch):
@@ -357,11 +360,11 @@ class TestSweepJournal:
         import repro.backends.reference as ref_mod
 
         path = tmp_path / "journal.jsonl"
-        journal = SweepJournal(path)
+        journal = RequestJournal(path)
         with sweep_options(journal=journal):
             sweep(["reference"], ns=NS[:1], periods=1)
         monkeypatch.setattr(ref_mod, "_SECONDS_PER_OP", 2e-9)
-        resumed = SweepJournal(path, resume=True)
+        resumed = RequestJournal(path, resume=True)
         with recording() as r, sweep_options(journal=resumed):
             sweep(["reference"], ns=NS[:1], periods=1)
         assert resumed.resumed_cells == 0, "stale checkpoint must not match"
@@ -393,6 +396,11 @@ class TestCliFaultFlags:
         capsys.readouterr()
 
     def test_resume_flag_round_trips(self, tmp_path, capsys):
+        """With the cache entries gone, --resume serves every cell the
+        first run checkpointed from the journal alone."""
+        import re
+        import shutil
+
         from repro.harness.cli import main
 
         cache_dir = tmp_path / "cache"
@@ -405,7 +413,10 @@ class TestCliFaultFlags:
             ]
         ) == 0
         assert (cache_dir / "journal.jsonl").exists()
-        capsys.readouterr()
+        first = capsys.readouterr().err
+        checkpointed = int(re.search(r"(\d+) checkpointed", first).group(1))
+        assert checkpointed > 0
+        shutil.rmtree(cache_dir / "v2")
         assert main(
             [
                 "report", "--only", "abl-fused", "--out", str(out2),
@@ -414,7 +425,7 @@ class TestCliFaultFlags:
         ) == 0
         assert out1.read_bytes() == out2.read_bytes()
         err = capsys.readouterr().err
-        assert "journal" in err
+        assert f": {checkpointed} cells resumed, 0 checkpointed" in err
 
     def test_resume_requires_cache_dir(self, tmp_path, capsys):
         from repro.harness.cli import main

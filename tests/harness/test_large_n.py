@@ -192,3 +192,21 @@ class TestCli:
         assert record["equivalent"] is True
         projected = json.loads(table.read_text(encoding="utf-8"))
         assert projected["table"] == record["large"]["table"]
+
+    def test_bench_large_defaults_to_three_periods(self, tmp_path, capsys):
+        """Without --periods each profile keeps its own default: 3 for
+        --large (as make bench-large always ran it), 2 for the
+        trace-engine bench."""
+        out = tmp_path / "BENCH_large_n.json"
+        assert main(
+            [
+                "bench", "--large", "--large-n", "512",
+                "--calibration-n", "256", "--out", str(out),
+            ]
+        ) == 0
+        record = json.loads(out.read_text(encoding="utf-8"))
+        assert record["config"]["periods"] == 3
+        for row in record["large"]["table"]:
+            assert len(row["tracking_margins_s"]) == 2  # periods - 1
+        assert build_parser().parse_args(["bench"]).periods is None
+        capsys.readouterr()

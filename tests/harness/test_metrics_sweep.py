@@ -17,7 +17,7 @@ import pytest
 
 from repro.analysis.deadlines import deadline_verdicts
 from repro.harness.cache import ResultCache
-from repro.harness.faults import FaultPlan, RetryPolicy, SweepJournal
+from repro.harness.faults import FaultPlan, RetryPolicy
 from repro.harness.figures import deadline_table
 from repro.harness.parallel import sweep_options
 from repro.harness.report import build_report
@@ -25,6 +25,7 @@ from repro.harness.sweep import _TRACE_MEMO, sweep
 from repro.obs import aggregate_spans, collecting
 from repro.obs.metrics import recording
 from repro.core.canonical import canonical_json
+from repro.service.journal import RequestJournal
 
 JOBS = int(os.environ.get("ATM_REPRO_TEST_JOBS", "4"))
 
@@ -207,7 +208,8 @@ class TestSpanRegistryAgreement:
 
     def _record(self, **kwargs):
         """Run the sweep under both records; assert they agree and return
-        the ``harness.shard`` and ``harness.fault`` span counts."""
+        the ``harness.shard`` and ``harness.fault`` span counts and the
+        registry."""
         with collecting() as c, recording() as r:
             self._sweep(**kwargs)
         shards = self._spans(c, "harness.shard", "source")
@@ -220,27 +222,42 @@ class TestSpanRegistryAgreement:
         for kind in self.SPANLESS_KINDS:
             counted.pop(kind, None)
         assert faults == counted
-        return shards, faults
+        return shards, faults, r
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_injected_oserrors(self, jobs):
         plan = FaultPlan({"oserror": 1.0}, seed=1)
         retry = RetryPolicy(max_attempts=3, backoff_s=0.001)
         with sweep_options(faults=plan, retry=retry):
-            shards, faults = self._record(jobs=jobs)
+            shards, faults, _ = self._record(jobs=jobs)
         assert shards == {"inline" if jobs == 1 else "pool": 4}
         assert faults == {"os-error": 4}
 
     def test_journal_resume(self, tmp_path):
         path = tmp_path / "journal.jsonl"
-        with sweep_options(journal=SweepJournal(path)):
+        with sweep_options(journal=RequestJournal(path)):
             self._sweep(ns=self.NS[:1])
-        with sweep_options(journal=SweepJournal(path, resume=True)):
-            shards, _ = self._record()
+        with sweep_options(journal=RequestJournal(path, resume=True)):
+            shards, _, _ = self._record()
         assert shards == {"journal": 2, "inline": 2}
 
     def test_warm_cache(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         self._sweep(cache=cache)
-        shards, _ = self._record(cache=cache)
+        shards, _, _ = self._record(cache=cache)
         assert shards == {"cache": 4}
+
+    def test_pool_workers_ship_their_metrics(self):
+        """Each pool worker streams a private pass; its trace counts and
+        bytes reach the parent registry, and the deadline series are
+        still counted once per cell, exactly as a serial run counts
+        them."""
+        shards, _, r = self._record(jobs=2, trace=False, cache=False)
+        assert shards == {"pool": 4}
+        assert r.value("atm_trace_requests", source="stream") == 4
+        assert r.series("atm_trace_bytes")
+        with recording() as serial:
+            self._sweep(jobs=1, trace=False, cache=False)
+        assert canonical_json(r.snapshot(deterministic_only=True)) == canonical_json(
+            serial.snapshot(deterministic_only=True)
+        )

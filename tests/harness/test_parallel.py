@@ -152,11 +152,12 @@ class TestSweepOptions:
     def test_fault_tolerance_options_scope_and_restore(self, tmp_path):
         """retry/faults/journal ride the same ambient scope (an *empty*
         journal is falsy — it must still resolve by identity, not truth)."""
-        from repro.harness.faults import FaultPlan, RetryPolicy, SweepJournal
+        from repro.harness.faults import FaultPlan, RetryPolicy
+        from repro.service.journal import RequestJournal
 
         plan = FaultPlan({"oserror": 0.5}, seed=3)
         retry = RetryPolicy(max_attempts=5)
-        journal = SweepJournal(tmp_path / "journal.jsonl")
+        journal = RequestJournal(tmp_path / "journal.jsonl")
         assert len(journal) == 0  # the falsy case under test
         with sweep_options(retry=retry, faults=plan, journal=journal):
             opts = current_options()

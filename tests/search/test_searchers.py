@@ -18,11 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.canonical import canonical_json
-from repro.harness.faults import SweepJournal
 from repro.search.evaluate import REJECTED_FITNESS, CandidateEvaluator
 from repro.search.runner import SearchSpec, run_search
 from repro.search.searchers import SEARCHERS
 from repro.search.space import Budget, space_for
+from repro.service.journal import RequestJournal
 
 
 def _spec(searcher: str, seed: int = 2018, **kw) -> SearchSpec:
@@ -65,11 +65,11 @@ class TestDeterminism:
     def test_resume_from_journal_is_byte_identical(self, tmp_path):
         spec = _spec("genetic", ns=(96, 480), max_evaluations=8)
         path = tmp_path / "journal.jsonl"
-        first_journal = SweepJournal(path)
+        first_journal = RequestJournal(path)
         baseline = run_search(spec, journal=first_journal)
         assert first_journal.recorded > 0  # cells actually checkpointed
 
-        resumed_journal = SweepJournal(path, resume=True)
+        resumed_journal = RequestJournal(path, resume=True)
         resumed = run_search(spec, journal=resumed_journal)
         assert resumed_journal.stats()["resumed_cells"] > 0
         assert canonical_json(resumed) == canonical_json(baseline)

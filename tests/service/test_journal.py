@@ -43,14 +43,6 @@ class TestLineHelpers:
         assert decode_journal_line("not json at all") is None
         assert decode_journal_line("[1, 2, 3]") is None
 
-    def test_payload_field_scopes_the_digest(self):
-        line = encode_journal_line(
-            {"key": "k", "measurement": {"a": 1}}, payload_field="measurement"
-        )
-        assert decode_journal_line(line, payload_field="measurement")
-        tampered = line.replace('"a": 1', '"a": 2')
-        assert decode_journal_line(tampered, payload_field="measurement") is None
-
 
 class TestRequestJournal:
     def test_admit_then_serve_round_trip(self, tmp_path, measurement):
@@ -96,6 +88,35 @@ class TestRequestJournal:
         assert loaded.lookup("key-1") is not None
         assert "key-2" not in loaded.pending()
 
+    def test_append_after_torn_tail_survives_resume(self, tmp_path, measurement):
+        """SIGKILL mid-append, resume, append: the new line starts a line
+        of its own instead of being glued onto the torn one."""
+        path = tmp_path / "j.jsonl"
+        RequestJournal(path).record_admitted("key-1", CELL.to_dict())
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])  # SIGKILL: no newline
+        resumed = RequestJournal(path, resume=True)
+        assert resumed.dropped_lines == 1
+        resumed.record_served("key-2", measurement)
+        again = RequestJournal(path, resume=True)
+        assert again.dropped_lines == 1
+        assert again.lookup("key-2").to_dict() == measurement.to_dict()
+
+    def test_undecodable_served_payload_is_dropped_at_load(self, tmp_path):
+        """A served line whose digest holds but whose payload is not a
+        measurement is dropped as torn, so lookup never raises."""
+        path = tmp_path / "j.jsonl"
+        path.write_text(
+            encode_journal_line(
+                {"event": "served", "key": "key-1", "measurement": {"n": 1}}
+            )
+            + "\n",
+            encoding="utf-8",
+        )
+        loaded = RequestJournal(path, resume=True)
+        assert loaded.dropped_lines == 1
+        assert loaded.lookup("key-1") is None
+
     def test_tampered_measurement_is_dropped(self, tmp_path, measurement):
         path = tmp_path / "j.jsonl"
         RequestJournal(path).record_served("key-1", measurement)
@@ -140,3 +161,49 @@ class TestRequestJournal:
         )
         twin.record_admitted("key-1", CELL.to_dict())
         assert path.read_bytes() == other.read_bytes()
+
+
+class TestServedLineOnDispatchThread:
+    def test_failed_append_fails_its_batch_not_the_dispatcher(
+        self, tmp_path, monkeypatch
+    ):
+        """A ``served`` line that cannot be written (ENOSPC) fails the
+        cells of its own batch; the dispatcher lives on and computes the
+        next cell."""
+        import asyncio
+        import errno
+
+        from repro.service import ServiceConfig, SweepService
+
+        record_served = RequestJournal.record_served
+        appends = []
+
+        def full_disk_once(self, key, measurement):
+            appends.append(key)
+            if len(appends) == 1:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            record_served(self, key, measurement)
+
+        monkeypatch.setattr(RequestJournal, "record_served", full_disk_once)
+
+        async def scenario():
+            service = SweepService(
+                ServiceConfig(
+                    batch_window_s=0.01, journal_path=str(tmp_path / "j.jsonl")
+                )
+            )
+            await service.start()
+            try:
+                with pytest.raises(RuntimeError, match="batch dispatch failed"):
+                    await service.submit_cell(CELL, deadline_s=10.0)
+                second = CellRequest(platform="ap:staran", n=64, seed=2018, periods=1)
+                source, measurement = await service.submit_cell(
+                    second, deadline_s=10.0
+                )
+                return source, measurement, service.journal.stats()
+            finally:
+                await service.stop()
+
+        source, measurement, stats = asyncio.run(scenario())
+        assert source == "computed" and measurement.n_aircraft == 64
+        assert stats["served"] == 1 and len(appends) == 2

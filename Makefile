@@ -75,12 +75,15 @@ bench-large-smoke:
 ## the exact check a performance change owes (docs/performance.md,
 ## "Repository benchmark"): one traced op of report and large_n at seeds
 ## 2018 and 2019 must reproduce the output digests and per-layer call
-## counts pinned in perfbench/pins.json; fails unless every run ends
-## "correct": true with no failed op.  Not a CI job: the pins are only
-## known to reproduce on the CPUs and numpy builds they were taken on.
+## counts pinned in perfbench/pins.json, and one traced 15 s service
+## window at the same seeds its schedule-derived sources, cache misses
+## and journal lines; fails unless every run ends "correct": true with
+## no failed op.  Not a CI job: the pins are only known to reproduce on
+## the CPUs and numpy builds they were taken on.
 perf-check:
-	@for w in report large_n; do for s in 2018 2019; do \
-		$(PYTHON) perfbench/run.py --workload $$w --seed $$s --seconds 1 --trace 1 \
+	@for run in report:1 large_n:1 service:15; do w=$${run%:*}; \
+	for s in 2018 2019; do \
+		$(PYTHON) perfbench/run.py --workload $$w --seed $$s --seconds $${run#*:} --trace 1 \
 		| $(PYTHON) -c 'import json, sys; lines = sys.stdin.read().splitlines(); \
 			[print(line) for line in lines if line.startswith("CHECK FAILED")]; \
 			r = json.loads(lines[-1]); ok = r["correct"] is True and r["failed"] == 0; \

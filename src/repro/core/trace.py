@@ -432,19 +432,20 @@ def trace_key(
     mode: Any,
     dropout: float = 0.0,
     clutter: int = 0,
-    pruning: str = "off",
+    pruning: Any = "off",
 ) -> str:
     """Canonical fingerprint of one functional-trace cell.
 
     Uses the same machinery as the result cache
     (:func:`repro.core.canonical.fingerprint_of`); the library version is
     included because a release may change the functional algorithms.
-    ``pruning`` is the *effective* setting ("on"/"off", never "auto") so
-    an ``auto`` policy below the threshold shares artifacts with an
-    explicit ``off``.
+    ``pruning`` is a candidate-pruning policy; the key holds its
+    *effective* setting at ``n``, so an ``auto`` policy below the
+    threshold shares artifacts with an explicit ``off``.
     """
     from .. import __version__
     from .canonical import fingerprint_of
+    from .sweepline import resolve_pruning
 
     return fingerprint_of(
         {
@@ -458,7 +459,7 @@ def trace_key(
                 "mode": str(getattr(mode, "value", mode)),
                 "dropout": float(dropout),
                 "clutter": int(clutter),
-                "pruning": str(pruning),
+                "pruning": "on" if resolve_pruning(pruning, n) else "off",
             },
         }
     )

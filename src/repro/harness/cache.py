@@ -51,6 +51,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
 
 from ..core.canonical import fingerprint_of
+from ..core.sweepline import resolve_pruning
 from ..obs.metrics import metric_inc
 from .faults import fault_span
 
@@ -314,14 +315,16 @@ class ResultCache(_ChecksumStore):
         seed: int,
         periods: int,
         mode: Any,
-        pruning: str = "off",
+        pruning: Any = "off",
     ) -> str:
         """The cache key of one (backend, fleet-size) measurement cell.
 
-        ``pruning`` is the *effective* candidate-pruning setting
-        ("on"/"off", never "auto") the functional pass runs under — an
-        ``auto`` policy below its threshold keys identically to an
-        explicit ``off``, so paper-scale cells share entries.
+        ``pruning`` is the candidate-pruning policy the cell runs under
+        ("auto"/"on"/"off" or a
+        :class:`~repro.core.sweepline.PruningPolicy`); the key holds its
+        *effective* setting at ``n``, so an ``auto`` policy below its
+        threshold keys identically to an explicit ``off``, and
+        paper-scale cells share entries.
         """
         mode_value = getattr(mode, "value", mode)
         return fingerprint_of(
@@ -333,7 +336,7 @@ class ResultCache(_ChecksumStore):
                     "seed": int(seed),
                     "periods": int(periods),
                     "mode": str(mode_value),
-                    "pruning": str(pruning),
+                    "pruning": "on" if resolve_pruning(pruning, n) else "off",
                 },
             }
         )
@@ -407,7 +410,8 @@ class CellStore:
 
     The tiers, fastest first: an in-process LRU of ``memory_cells``
     measurements (0 = none), a :class:`ResultCache`, and a checkpoint
-    journal (a :class:`~repro.service.journal.RequestJournal`).  :meth:`get`
+    journal (a :class:`~repro.service.journal.RequestJournal`, which
+    serves the cells its last resume loaded).  :meth:`get`
     reads them in that order and copies a hit into the faster tiers
     that missed — a journal hit back-fills the cache and the LRU, a
     cache hit fills the LRU — and :meth:`put` writes every tier.

@@ -58,7 +58,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..analysis.deadlines import record_cell_metrics
-from ..core.sweepline import resolve_pruning
 from ..obs import SpanRecord
 from ..obs import get_collector as obs_get_collector
 from ..obs import is_active as obs_is_active
@@ -394,7 +393,7 @@ def _probe_stores(
         seed=seed,
         periods=periods,
         mode=mode,
-        pruning="on" if resolve_pruning(pruning, n) else "off",
+        pruning=pruning,
     )
     hit, tier = store.get(key)
     if hit is not None:

@@ -29,9 +29,7 @@ from typing import Optional
 
 from ..obs import (
     Collector,
-    chrome_trace,
     collecting,
-    json_lines,
     modelled_coverage,
     render_counters,
     render_span_tree,
@@ -79,12 +77,6 @@ class ProfileResult:
             render_counters(self.registry.snapshot()),
         ]
         return "\n".join(lines)
-
-    def to_chrome_trace(self) -> dict:
-        return chrome_trace(self.collector)
-
-    def to_json_lines(self) -> str:
-        return json_lines(self.collector)
 
 
 def profile_experiment(

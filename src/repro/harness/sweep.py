@@ -27,7 +27,6 @@ from ..backends.base import Backend
 from ..backends.registry import resolve_backend
 from ..core.canonical import canonical_json
 from ..core.collision import DetectionMode
-from ..core.sweepline import resolve_pruning
 from ..core.trace import (
     DEFAULT_TRACE_BUDGET,
     CollisionRecord,
@@ -157,10 +156,9 @@ def _lookup_trace(
     Hits emit a ``harness.trace`` span (source ``memo``/``store``) and
     count it in ``atm_trace_requests``; misses emit nothing — whoever
     computes the trace owns the ``compute``/``pool`` span.  ``pruning``
-    may be a policy ("auto") — it is resolved at ``n`` before keying.
+    may be a policy ("auto"); the key resolves it at ``n``.
     """
-    effective = "on" if resolve_pruning(pruning, n) else "off"
-    key = trace_key(n=n, seed=seed, periods=periods, mode=mode, pruning=effective)
+    key = trace_key(n=n, seed=seed, periods=periods, mode=mode, pruning=pruning)
     trace = _TRACE_MEMO.get(key)
     if trace is not None:
         _TRACE_MEMO.move_to_end(key)

@@ -20,7 +20,7 @@ from .. import __version__
 from ..core.canonical import canonical_json
 from ..core.collision import DetectionMode
 from ..harness.parallel import sweep_options
-from .evaluate import OBJECTIVES, CandidateEvaluator, Evaluation
+from .evaluate import OBJECTIVES, CandidateEvaluator, Evaluation, _dominates
 from .searchers import SEARCHERS, SearchOutcome
 from .space import Budget, DesignSpace, space_for
 
@@ -96,16 +96,6 @@ def load_search_spec(path: str) -> SearchSpec:
     """Parse a JSON spec file (the ``atm-repro search --spec`` format)."""
     with open(path, "r", encoding="utf-8") as fh:
         return SearchSpec.from_dict(json.load(fh))
-
-
-def _dominates_pair(
-    time_a: float, area_a: float, time_b: float, area_b: float
-) -> bool:
-    return (
-        time_a <= time_b
-        and area_a <= area_b
-        and (time_a < time_b or area_a < area_b)
-    )
 
 
 def run_search(
@@ -200,9 +190,7 @@ def _dominance(
         if not ev.evaluated:
             out[ev.point.base] = False
             continue
-        out[ev.point.base] = _dominates_pair(
-            best.modelled_time_s, best.area_mm2, ev.modelled_time_s, ev.area_mm2
-        )
+        out[ev.point.base] = _dominates(best, ev)
     return out
 
 

@@ -13,13 +13,15 @@ is.  Line-digest and torn-line helpers live in
 * ``served`` lines carry the full measurement payload of a finished
   cell; the cell store appends one for every fresh cell it commits.
 
-On ``--resume`` the journal is loaded: ``served`` measurements answer
-:meth:`RequestJournal.lookup` (the store's slowest tier), and the
+On ``--resume`` the journal is loaded: its ``served`` measurements
+answer :meth:`RequestJournal.lookup` (the store's slowest tier), and the
 service re-enqueues ``admitted``-but-never-``served`` cells through the
-normal batch dispatcher.  Because every measurement cell is a pure
-function of ``(platform, n, seed, periods, mode)``, a replayed cell
-produces **byte-identical** payloads to the uninterrupted run — the
-chaos suites (``tests/harness/test_faults.py``,
+normal batch dispatcher.  A cell served in this run is kept by key only
+(the store's LRU and result cache serve it), so the journal's memory is
+bounded by what the last resume loaded.  Because every measurement cell
+is a pure function of ``(platform, n, seed, periods, mode)``, a
+replayed cell produces **byte-identical** payloads to the uninterrupted
+run — the chaos suites (``tests/harness/test_faults.py``,
 ``tests/service/test_chaos.py``) kill live runs and prove it.
 
 Torn lines (SIGKILL mid-append, an injected ``corrupt-journal``
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import threading
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, Optional, Set, Union
 
 from ..harness.faults import (
     FaultPlan,
@@ -68,6 +70,9 @@ class RequestJournal:
     ``resume=False`` (a fresh run) discards any previous journal;
     ``resume=True`` loads it, exposing restored measurements via
     :meth:`lookup` and the unfinished remainder via :meth:`pending`.
+    Lines appended in this run keep only their key, which dedupes later
+    records and closes :meth:`pending`; :meth:`lookup` serves only what
+    the resume loaded.
     Two threads may share one journal: appends go one at a time, so
     every line stays whole, and :meth:`lookup`, :meth:`pending` and
     :meth:`stats` never wait behind one's fsync.
@@ -93,10 +98,10 @@ class RequestJournal:
         self._append_seq = 0
         #: key -> validated cell dict, in admission order.
         self._admitted: Dict[str, Dict[str, Any]] = {}
-        #: key -> served measurement, decoded once.
-        self._served: Dict[str, "PlatformMeasurement"] = {}
-        #: keys of the served lines loaded at resume.
-        self._restored: frozenset = frozenset()
+        #: keys of every served line, loaded or appended.
+        self._served: Set[str] = set()
+        #: key -> measurement of a served line loaded at resume, decoded once.
+        self._restored: Dict[str, "PlatformMeasurement"] = {}
         #: one append at a time, held across its fsync.
         self._lock = threading.Lock()
         #: the maps and counters; never held across I/O.
@@ -138,10 +143,10 @@ class RequestJournal:
                 except (KeyError, TypeError, ValueError):
                     self._drop_line()
                     continue
-                self._served[key] = measurement
+                self._served.add(key)
+                self._restored[key] = measurement
             else:
                 self._drop_line()
-        self._restored = frozenset(self._served)
 
     def _drop_line(self) -> None:
         # A torn tail from SIGKILL mid-append, injected corruption, or
@@ -178,15 +183,15 @@ class RequestJournal:
                 return
             self._append({"event": "served", "key": key, "measurement": payload})
             with self._maps:
-                self._served[key] = measurement
+                self._served.add(key)
 
     # -- replay ---------------------------------------------------------
 
     def lookup(self, key: str) -> Optional["PlatformMeasurement"]:
-        """The journaled measurement under ``key``, or None.  A hit on a
-        line loaded at resume counts in ``resumed_cells``."""
-        hit = self._served.get(key)  # one dict read: atomic
-        if hit is not None and key in self._restored:
+        """The measurement of a served line loaded at resume, or None;
+        every hit counts in ``resumed_cells``."""
+        hit = self._restored.get(key)  # filled once, at load
+        if hit is not None:
             with self._maps:
                 self.resumed_cells += 1
         return hit

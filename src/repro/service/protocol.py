@@ -22,6 +22,8 @@ from typing import Any, Dict, List, Mapping, Tuple
 
 from ..backends.registry import available_backends, resolve_backend
 from ..core.collision import DetectionMode
+from ..harness.cache import ResultCache
+from ..harness.parallel import SweepOptions
 
 __all__ = [
     "ProtocolError",
@@ -70,21 +72,22 @@ class CellRequest:
         return (self.seed, self.periods, self.mode)
 
     def cache_key(self) -> str:
-        """The cell's result-cache fingerprint (coalescing identity).
+        """The cell's store key (coalescing identity).
 
-        Same key scheme as the batch harness
-        (:meth:`repro.harness.cache.ResultCache.key_for`), so a cell
-        served by the service warms the same cache entries ``atm-repro
-        report --cache-dir`` reads, and vice versa.
+        The key the sweep engine commits the cell under: the batch
+        harness's :meth:`repro.harness.cache.ResultCache.key_for` under
+        the engine's default pruning policy, which the service's
+        dispatch runs with.  So a cell served by the service warms the
+        same cache entries ``atm-repro report --cache-dir`` reads under
+        its default ``--pruning auto``, and vice versa, at every ``n``.
         """
-        from ..harness.cache import ResultCache
-
         return ResultCache.key_for(
             resolve_backend(self.platform),
             n=self.n,
             seed=self.seed,
             periods=self.periods,
             mode=self.detection_mode,
+            pruning=SweepOptions.pruning,
         )
 
     def to_dict(self) -> Dict[str, Any]:

@@ -6,15 +6,18 @@ a deliberately small slice of HTTP/1.1 (no framework, stdlib only);
 behind it sit four mechanisms, all reusing harness machinery instead of
 reimplementing it:
 
-* **Coalescing** — every cell request is keyed by the same SHA-256
-  cost-model fingerprint the result cache uses
-  (:meth:`~repro.harness.cache.ResultCache.key_for`); requests for a
-  cell already being measured await the in-flight future instead of
-  queueing a duplicate.
-* **Batching** — admitted cells accumulate for one batch window, then
-  compatible cells (same seed/periods/mode) dispatch **together**
-  through :func:`repro.harness.parallel.measure_cells`, sharing its
-  process pool, functional-trace memoization and fault tolerance.
+* **Coalescing** — every cell request is keyed by the key the sweep
+  engine commits the cell under
+  (:meth:`~repro.service.protocol.CellRequest.cache_key`, the result
+  cache's SHA-256 cost-model fingerprint); requests for a cell already
+  being measured await the in-flight future instead of queueing a
+  duplicate.
+* **Batching** — one admission path (:meth:`SweepService._submit`)
+  serves ``/v1/cell``, ``/v1/sweep`` and journal replay; admitted cells
+  accumulate for one batch window, then compatible cells (same
+  seed/periods/mode) dispatch **together** through
+  :func:`repro.harness.parallel.measure_cells`, sharing its process
+  pool, functional-trace memoization and fault tolerance.
 * **Admission control** — before a cell is queued, the
   :class:`~repro.analysis.deadlines.AdmissionController` estimates
   completion time against the request's deadline budget and rejects
@@ -104,6 +107,9 @@ _REJECT_STATUS = {
     "rejected_draining": 503,
 }
 
+#: Measurements the service's memory tier holds (an LRU, in cells).
+_MEMORY_CELLS = 4096
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -123,10 +129,6 @@ class ServiceConfig:
     max_queue_cells: int = 1024
     #: deadline budget for requests that do not send ``deadline_s``.
     default_deadline_s: float = 30.0
-    #: admission prior for per-cell service seconds (cold start).
-    cell_prior_s: float = 0.05
-    #: in-memory measurement LRU (cells, not bytes).
-    memory_cells: int = 4096
     #: request-journal path; None derives <cache_dir>/service-journal.jsonl
     #: (no journal at all when cache_dir is also unset).
     journal_path: Optional[str] = None
@@ -170,7 +172,6 @@ class SweepService:
         self.admission = AdmissionController(
             max_queue_cells=config.max_queue_cells,
             default_deadline_s=config.default_deadline_s,
-            cell_prior_s=config.cell_prior_s,
             dispatch_overhead_s=config.batch_window_s,
         )
         self.cache = None
@@ -192,9 +193,9 @@ class SweepService:
             )
         #: finished cells: memory LRU -> result cache -> journal.
         self.store = CellStore(
-            cache=self.cache, journal=self.journal, memory_cells=config.memory_cells
+            cache=self.cache, journal=self.journal, memory_cells=_MEMORY_CELLS
         )
-        #: cache fingerprint -> future of the in-flight cell (coalescing).
+        #: cell key -> future of the in-flight cell (coalescing).
         self._inflight_cells: Dict[str, "asyncio.Future[Any]"] = {}
         self._queue: "asyncio.Queue[_PendingCell]" = asyncio.Queue()
         #: cells admitted but not yet returned by a dispatch.
@@ -240,11 +241,11 @@ class SweepService:
 
         ``served`` entries stay in the journal, the store's slowest
         tier, which answers each on its first ask;
-        ``admitted``-but-unserved cells re-enter the batch dispatcher as
-        if their clients were still waiting, so by the time the journal
-        settles every admitted fingerprint is served again — with
-        byte-identical payloads, because cells are pure functions of
-        their request tuple.
+        ``admitted``-but-unserved cells re-enter the batch dispatcher
+        through :meth:`_enqueue`, as if their clients were still
+        waiting, so by the time the journal settles every admitted cell
+        is served again — with byte-identical payloads, because cells
+        are pure functions of their request tuple.
         """
         if self.journal is None:
             return
@@ -252,25 +253,13 @@ class SweepService:
         metric_inc(
             "atm_service_journal_replayed", float(self._restored_cells), kind="restored"
         )
-        loop = asyncio.get_running_loop()
         for key, cell in self.journal.pending().items():
             try:
                 request = CellRequest(**cell)
             except TypeError:
                 metric_inc("atm_service_journal_replayed", kind="dropped")
                 continue
-            future: "asyncio.Future[Any]" = loop.create_future()
-            # Nobody awaits a replayed cell until its client re-asks;
-            # retrieve the result eagerly so a failed dispatch cannot
-            # log "exception was never retrieved".
-            future.add_done_callback(
-                lambda f: None if f.cancelled() else f.exception()
-            )
-            self._inflight_cells[key] = future
-            self._track_cells(+1)
-            self._queue.put_nowait(
-                _PendingCell(request=request, key=key, future=future)
-            )
+            self._enqueue(key, request)
             self._replayed_cells += 1
             metric_inc("atm_service_journal_replayed", kind="replayed")
         for _ in range(self.journal.dropped_lines):
@@ -415,102 +404,87 @@ class SweepService:
         no, and :class:`asyncio.TimeoutError` when an admitted request
         outlives its own deadline budget.
         """
-        key = request.cache_key()
-        hit, _tier = self.store.get(key)
-        if hit is not None:
-            return "cache", hit
-        inflight = self._inflight_cells.get(key)
-        if inflight is not None:
-            self._coalesced += 1
-            budget = (
-                self.config.default_deadline_s if deadline_s is None else deadline_s
-            )
-            measurement = await asyncio.wait_for(
-                asyncio.shield(inflight), timeout=budget
-            )
-            return "coalesced", measurement
-        verdict = self.admission.assess(
-            1, queue_depth=self._pending_cells, deadline_s=deadline_s
-        )
-        if not verdict.admitted:
-            self._rejected += 1
-            raise AdmissionRejected(verdict)
-        if self.journal is not None:
-            # Durable before queued: an admitted fingerprint survives
-            # SIGKILL from this point on (replayed by --resume).
-            self.journal.record_admitted(key, request.to_dict())
-        future: "asyncio.Future[Any]" = asyncio.get_running_loop().create_future()
-        self._inflight_cells[key] = future
-        self._track_cells(+1)
-        await self._queue.put(_PendingCell(request=request, key=key, future=future))
-        try:
-            measurement = await asyncio.wait_for(
-                asyncio.shield(future), timeout=verdict.deadline_s
-            )
-        except asyncio.TimeoutError:
-            # The cell keeps computing (coalescers may still want it);
-            # only this response times out.
-            raise
-        return "computed", measurement
+        source, (measurement,) = await self._submit([request], deadline_s)
+        return source, measurement
 
     async def submit_sweep(
         self, cells: List[CellRequest], *, deadline_s: Optional[float] = None
     ) -> Tuple[str, List[Any]]:
-        """Resolve a sweep request to ``(source, measurements)``.
+        """Resolve a sweep request to ``(source, measurements)``, the
+        measurements in request order; admitted or rejected as a whole
+        (see :meth:`_submit`)."""
+        return await self._submit(cells, deadline_s)
 
-        Admission assesses the whole request at once — only the cells
-        that are neither cached nor coalescible count against the
-        deadline estimate and the queue bound — so a sweep is admitted
-        or rejected atomically, never half-queued.  Every missing cell
-        is enqueued *before* anything is awaited, so the whole request
-        lands in one batch window and dispatches together.
+    async def _submit(
+        self, cells: List[CellRequest], deadline_s: Optional[float]
+    ) -> Tuple[str, List[Any]]:
+        """The one admission path: ``(source, measurements)`` for
+        ``cells``, the measurements in request order.
+
+        Each distinct cell is looked up once: a stored cell is ready, a
+        cell in flight is attached to, and the rest are the cells the
+        request would add.  Admission assesses those, and only when
+        there is one, so a request is admitted or rejected whole, never
+        half-queued.  Every added cell is journaled and enqueued before
+        anything is awaited: no suspension point sits between the
+        lookups and the queue fills, so the coalescing map stays
+        consistent and a whole sweep lands in one batch window.  Every
+        awaited cell times out at the request's own budget.  ``source``
+        is ``cache`` when nothing was awaited, ``coalesced`` when every
+        awaited cell was already in flight, else ``computed``.
         """
-        keyed = [(cell, cell.cache_key()) for cell in cells]
-        missing = {
-            key
-            for _, key in keyed
-            if self.store.get(key)[0] is None and key not in self._inflight_cells
-        }
-        verdict = self.admission.assess(
-            len(missing), queue_depth=self._pending_cells, deadline_s=deadline_s
-        )
-        if not verdict.admitted:
-            self._rejected += 1
-            raise AdmissionRejected(verdict)
-        # Enqueue first, await second: no suspension point between the
-        # lookups above and the queue fills below, so the coalescing map
-        # stays consistent.
+        keys = [cell.cache_key() for cell in cells]
         ready: Dict[str, Any] = {}
-        futures: Dict[str, "asyncio.Future[Any]"] = {}
-        for cell, key in keyed:
-            if key in ready or key in futures:
+        awaited: Dict[str, "asyncio.Future[Any]"] = {}
+        added: Dict[str, CellRequest] = {}
+        for cell, key in zip(cells, keys):
+            if key in ready or key in awaited or key in added:
                 continue
             hit, _tier = self.store.get(key)
             if hit is not None:
                 ready[key] = hit
-                continue
-            future = self._inflight_cells.get(key)
-            if future is not None:
-                self._coalesced += 1
+            elif key in self._inflight_cells:
+                awaited[key] = self._inflight_cells[key]
             else:
-                if self.journal is not None:
-                    self.journal.record_admitted(key, cell.to_dict())
-                future = asyncio.get_running_loop().create_future()
-                self._inflight_cells[key] = future
-                self._track_cells(+1)
-                self._queue.put_nowait(
-                    _PendingCell(request=cell, key=key, future=future)
-                )
-            futures[key] = future
-        if futures:
-            ordered = list(futures)
-            values = await asyncio.wait_for(
-                asyncio.gather(*(asyncio.shield(futures[k]) for k in ordered)),
-                timeout=verdict.deadline_s,
+                added[key] = cell
+        if added:
+            verdict = self.admission.assess(
+                len(added), queue_depth=self._pending_cells, deadline_s=deadline_s
             )
-            ready.update(zip(ordered, values))
-        source = "cache" if not futures else "computed"
-        return source, [ready[key] for _, key in keyed]
+            if not verdict.admitted:
+                self._rejected += 1
+                raise AdmissionRejected(verdict)
+        self._coalesced += len(awaited)
+        for key, cell in added.items():
+            awaited[key] = self._enqueue(key, cell)
+        if awaited:
+            budget = (
+                self.config.default_deadline_s if deadline_s is None else deadline_s
+            )
+            # shield: a request that runs out of budget times out alone;
+            # the cell keeps computing for everyone else attached to it.
+            values = await asyncio.wait_for(
+                asyncio.gather(*(asyncio.shield(f) for f in awaited.values())),
+                timeout=budget,
+            )
+            ready.update(zip(awaited, values))
+        source = "computed" if added else "coalesced" if awaited else "cache"
+        return source, [ready[key] for key in keys]
+
+    def _enqueue(self, key: str, request: CellRequest) -> "asyncio.Future[Any]":
+        """Journal one admitted cell, then queue it; returns its future.
+
+        Durable before queued: from here on the admission survives
+        SIGKILL, and ``--resume`` replays it.
+        """
+        if self.journal is not None:
+            self.journal.record_admitted(key, request.to_dict())
+        future: "asyncio.Future[Any]" = asyncio.get_running_loop().create_future()
+        future.add_done_callback(_retrieve)
+        self._inflight_cells[key] = future
+        self._track_cells(+1)
+        self._queue.put_nowait(_PendingCell(request=request, key=key, future=future))
+        return future
 
     # -- batching -------------------------------------------------------
 
@@ -819,6 +793,15 @@ class AdmissionRejected(Exception):
     def __init__(self, verdict: AdmissionVerdict) -> None:
         super().__init__(verdict.outcome)
         self.verdict = verdict
+
+
+def _retrieve(future: "asyncio.Future[Any]") -> None:
+    """Mark a cell's outcome retrieved: a cell may finish with nobody
+    awaiting it (replayed before its client re-asks, or every request
+    timed out), and a failed dispatch must not log "exception was never
+    retrieved"."""
+    if not future.cancelled():
+        future.exception()
 
 
 def _parse_deadline(obj: Any) -> Optional[float]:

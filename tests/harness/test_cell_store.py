@@ -59,14 +59,16 @@ PUTTABLE = range(len(CELLS) - 1)
 
 class CellStoreMachine(RuleBasedStateMachine):
     """The model: the LRU's keys in recency order, the keys with a valid
-    cache entry, the keys the open journal serves, and the journal's
-    lines on disk as ``[key, intact]`` pairs."""
+    cache entry, the keys the open journal has a line for (which dedupe
+    later puts), the keys it serves (loaded at the last reopen), and the
+    journal's lines on disk as ``[key, intact]`` pairs."""
 
     def __init__(self) -> None:
         super().__init__()
         self.root = Path(tempfile.mkdtemp())
         self.lru: "OrderedDict[str, None]" = OrderedDict()
         self.in_cache: set = set()
+        self.journaled: set = set()
         self.in_journal: set = set()
         self.lines: list = []
         self._open(resume=False)
@@ -92,8 +94,8 @@ class CellStoreMachine(RuleBasedStateMachine):
         key, measurement = CELLS[i]
         self.store.put(key, measurement)
         self.in_cache.add(key)
-        if key not in self.in_journal:
-            self.in_journal.add(key)
+        if key not in self.journaled:
+            self.journaled.add(key)
             self.lines.append([key, True])
         self._touch(key)
 
@@ -128,6 +130,7 @@ class CellStoreMachine(RuleBasedStateMachine):
         self._open(resume=True)
         self.lru.clear()
         self.in_journal = {key for key, intact in self.lines if intact}
+        self.journaled = set(self.in_journal)
 
     @precondition(lambda self: self.lines and self.lines[-1][1])
     @rule()
@@ -228,15 +231,11 @@ def test_reader_runs_inside_a_commit(tmp_path, monkeypatch, pause_at, memory_cel
     assert not committer.is_alive() and outcome.get("waited") is True
     assert "error" not in outcome, outcome.get("error")
     # The live cell: from memory when there is an LRU, which is filled
-    # first; else from the tiers the commit has reached.
+    # first; else nowhere yet — the journal serves only what it loaded.
     if memory_cells:
-        assert live_tier == "memory"
-    elif pause_at == "journal-append":
-        assert live_tier is None and live is None
+        assert live_tier == "memory" and live.to_dict() == m1.to_dict()
     else:
-        assert live_tier == "journal"
-    if live is not None:
-        assert live.to_dict() == m1.to_dict()
+        assert (live, live_tier) == (None, None)
     assert restored_tier == "journal" and restored.to_dict() == m0.to_dict()
     assert stats["served"] == (1 if pause_at == "journal-append" else 2)
     # Only the restored line counts as resumed, never the live cell.
@@ -251,3 +250,25 @@ def test_reader_runs_inside_a_commit(tmp_path, monkeypatch, pause_at, memory_cel
     assert all(decode_journal_line(line) is not None for line in lines)
     assert len(lines) == 1 + journal.recorded
     assert len(store.memory_keys()) <= memory_cells
+
+
+def test_journal_serves_only_what_its_resume_loaded(tmp_path):
+    """A journal keeps the measurements it loaded, not the ones it
+    appends: a cell evicted from the LRU is not served by the journal
+    in the process that put it, but is after a resume."""
+    path = tmp_path / "journal.jsonl"
+    _key, measurement = CELLS[0]
+    keys = [f"cell-{i}" for i in range(6)]
+    store = CellStore(journal=RequestJournal(path), memory_cells=2)
+    for key in keys:
+        store.put(key, measurement)
+    assert store.memory_keys() == keys[-2:]
+    assert store.get(keys[0]) == (None, None)
+    assert store.journal.stats()["served"] == len(keys)
+    store.put(keys[0], measurement)
+    assert store.journal.recorded == len(keys)  # still deduped by key
+
+    resumed = CellStore(journal=RequestJournal(path, resume=True), memory_cells=2)
+    hit, tier = resumed.get(keys[0])
+    assert tier == "journal" and hit.to_dict() == measurement.to_dict()
+    assert resumed.journal.resumed_cells == 1

@@ -6,9 +6,11 @@ import json
 
 import pytest
 
-from repro.harness.cache import ResultCache
+from repro.harness.cache import CellStore, ResultCache
 from repro.backends.registry import resolve_backend
 from repro.core.collision import DetectionMode
+from repro.core.sweepline import PRUNE_MIN_N
+from repro.harness.parallel import _probe_stores, current_options
 from repro.service.protocol import (
     MAX_SERVED_N,
     CellRequest,
@@ -59,15 +61,30 @@ class TestParseCellRequest:
             parse_cell_request(body)
 
     def test_cache_key_matches_the_batch_harness(self):
-        req = parse_cell_request({"platform": "ap:staran", "n": 96})
-        expected = ResultCache.key_for(
-            resolve_backend("ap:staran"),
-            n=96,
-            seed=2018,
-            periods=3,
-            mode=DetectionMode.SIGNED,
-        )
-        assert req.cache_key() == expected
+        """The service keys a cell as the sweep engine commits it under
+        the default options, below and at the pruning threshold."""
+        backend = resolve_backend("ap:staran")
+        opts = current_options()
+        for n in (96, PRUNE_MIN_N - 1, PRUNE_MIN_N):
+            req = parse_cell_request({"platform": "ap:staran", "n": n})
+            key, hit = _probe_stores(
+                "ap:staran",
+                backend,
+                n,
+                seed=2018,
+                periods=3,
+                mode=DetectionMode.SIGNED,
+                pruning=opts.pruning,
+                jobs=opts.jobs,
+                store=CellStore(memory_cells=1),
+            )
+            assert hit is None
+            assert req.cache_key() == key, n
+            if n < PRUNE_MIN_N:
+                # Below the threshold the key is the unpruned one, as before.
+                assert key == ResultCache.key_for(
+                    backend, n=n, seed=2018, periods=3, mode=DetectionMode.SIGNED
+                )
 
 
 class TestParseSweepRequest:

@@ -5,12 +5,16 @@ from __future__ import annotations
 
 import asyncio
 import json
+import threading
 
 import pytest
 
+from repro.core import sweepline
+from repro.harness.faults import decode_journal_line
 from repro.harness.figures import fig5
 from repro.service import (
     CellRequest,
+    RequestJournal,
     ServiceConfig,
     SweepService,
     payload_bytes,
@@ -293,3 +297,108 @@ class TestSubmitApi:
         assert first_source == "computed"
         assert second_source == "cache"
         assert len(measurements) == len(NS)
+
+
+class TestOneAdmissionPath:
+    """``/v1/cell``, ``/v1/sweep`` and replay admit cells one way, under
+    the key the sweep engine commits them under."""
+
+    def test_pruned_cell_is_found_under_its_commit_key(self, tmp_path, monkeypatch):
+        """From the pruning threshold up the engine keys a cell by its
+        pruned pass; a repeat request must find it, and its admission
+        must close."""
+        monkeypatch.setattr(sweepline, "PRUNE_MIN_N", 64)
+        path = tmp_path / "journal.jsonl"
+
+        async def scenario(service, port):
+            request = CellRequest(platform="ap:staran", n=96, periods=1)
+            first, _ = await service.submit_cell(request)
+            second, _ = await service.submit_cell(request)
+            return first, second, service.stats()
+
+        first, second, stats = _run_service(scenario, journal_path=str(path))
+        assert (first, second) == ("computed", "cache")
+        assert stats["batches"] == 1
+        assert stats["journal"]["pending"] == 0
+        assert RequestJournal(path, resume=True).pending() == {}
+
+    def test_sweep_looks_each_cell_up_once_and_admits_only_new_cells(
+        self, tmp_path
+    ):
+        """Cells [A, A, B, C]: B is stored, C is queued by an earlier
+        request and not yet dispatched; only A is admitted."""
+        path = tmp_path / "journal.jsonl"
+        a, b, c, d = (
+            CellRequest(platform="ap:staran", n=n, periods=1)
+            for n in (32, 64, 96, 128)
+        )
+
+        async def scenario(service, port):
+            await service.submit_cell(b)
+            queued_c = asyncio.ensure_future(service.submit_cell(c))
+            await asyncio.sleep(0)
+            assert c.cache_key() in service._inflight_cells
+            gets = []
+            store_get = service.store.get
+
+            def counting_get(key):
+                # The event loop's lookups, not the engine's probes.
+                if threading.current_thread() is threading.main_thread():
+                    gets.append(key)
+                return store_get(key)
+
+            service.store.get = counting_get
+            sweep = await service.submit_sweep([a, a, b, c])
+            del service.store.get
+            queued_d = asyncio.ensure_future(service.submit_cell(d))
+            await asyncio.sleep(0)
+            coalesced = await service.submit_sweep([b, d])
+            return (
+                gets,
+                sweep,
+                coalesced,
+                (await queued_c)[0],
+                (await queued_d)[0],
+                service.stats()["coalesced"],
+            )
+
+        gets, sweep, coalesced, c_source, d_source, n_coalesced = _run_service(
+            scenario, journal_path=str(path), batch_window_s=0.2
+        )
+        assert sorted(gets) == sorted({a.cache_key(), b.cache_key(), c.cache_key()})
+        source, measurements = sweep
+        assert source == "computed"
+        assert [m.n_aircraft for m in measurements] == [32, 32, 64, 96]
+        assert coalesced[0] == "coalesced"
+        assert [m.n_aircraft for m in coalesced[1]] == [64, 128]
+        assert (c_source, d_source) == ("computed", "computed")
+        assert n_coalesced == 2
+        records = [
+            decode_journal_line(line)
+            for line in path.read_text(encoding="utf-8").splitlines()
+        ]
+        admitted = [r["key"] for r in records if r["event"] == "admitted"]
+        assert admitted == [b.cache_key(), c.cache_key(), a.cache_key(), d.cache_key()]
+
+    def test_rejected_sweep_journals_and_queues_nothing(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+
+        async def scenario(service, port):
+            from repro.service.server import AdmissionRejected
+
+            cells = [
+                CellRequest(platform="ap:staran", n=n, periods=1)
+                for n in (32, 64, 96)
+            ]
+            with pytest.raises(AdmissionRejected) as rejected:
+                await service.submit_sweep(cells)
+            return rejected.value.verdict, service
+
+        verdict, service = _run_service(
+            scenario, journal_path=str(path), max_queue_cells=2
+        )
+        assert verdict.outcome == "rejected_backpressure"
+        assert service.journal.recorded == 0 and not path.exists()
+        assert service._queue.empty() and service._inflight_cells == {}
+        assert service.stats()["pending_cells"] == 0
+        assert service.stats()["rejected"] == 1

@@ -120,14 +120,12 @@ class Backend(abc.ABC):
         the result cache treats two backends with equal payloads as
         interchangeable.  The package version is included so a release
         that recalibrates models invalidates all prior cache entries.
+        The payload is not canonicalized here: its consumers hash it
+        through :func:`~repro.core.canonical.fingerprint_of`, which does.
         """
         from .. import __version__
-        from ..core.canonical import canonicalize
 
-        return {
-            "describe": canonicalize(self.describe()),
-            "library_version": __version__,
-        }
+        return {"describe": self.describe(), "library_version": __version__}
 
     def fingerprint(self) -> str:
         """Stable hex digest of :meth:`fingerprint_payload`.

@@ -21,14 +21,20 @@ models from the shared trace.  The cost-replay contract is documented in
 ``docs/performance.md``; the equivalence tests assert byte-identical
 :class:`~repro.core.types.TaskTiming` output between the two paths.
 
-Traces serialize to JSON exactly (ints stay ints; floats survive via
-shortest-repr) so :class:`~repro.harness.cache.TraceStore` can keep an
-on-disk tier keyed by :func:`trace_key`, and so traces can cross the
-process boundary to sweep workers as plain dicts.
+A trace encodes to one checksummed array buffer
+(:meth:`FunctionalTrace.to_bytes`): a short JSON header, then the
+arrays' raw bytes, with every dtype kept exactly.  The same bytes are
+what :class:`~repro.harness.cache.TraceStore` keeps on disk under
+:func:`trace_key` and what crosses the process boundary to sweep
+workers.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
+import math
+import struct
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -42,6 +48,7 @@ from .tracking import TrackingStats, correlate
 
 __all__ = [
     "TRACE_SCHEMA_VERSION",
+    "TRACE_MAGIC",
     "FleetView",
     "FrameView",
     "TracePeriod",
@@ -93,103 +100,6 @@ class FrameView:
 
 
 # ---------------------------------------------------------------------------
-# exact (de)serialization of the stats dataclasses
-# ---------------------------------------------------------------------------
-
-
-def _int_list(arr) -> List[int]:
-    return [int(v) for v in arr]
-
-
-def _tracking_stats_to_dict(stats: TrackingStats) -> Dict[str, Any]:
-    return {
-        "rounds_executed": int(stats.rounds_executed),
-        "candidate_pairs": _int_list(stats.candidate_pairs),
-        "matched": _int_list(stats.matched),
-        "discarded_radars": int(stats.discarded_radars),
-        "dropped_aircraft": int(stats.dropped_aircraft),
-        "committed": int(stats.committed),
-        "coasted": int(stats.coasted),
-        "round_radar_ids": [_int_list(ids) for ids in stats.round_radar_ids],
-        "round_active_planes": _int_list(stats.round_active_planes),
-        "round_candidates_per_radar": [
-            _int_list(c) for c in stats.round_candidates_per_radar
-        ],
-    }
-
-
-def _tracking_stats_from_dict(data: Dict[str, Any]) -> TrackingStats:
-    return TrackingStats(
-        rounds_executed=int(data["rounds_executed"]),
-        candidate_pairs=[int(v) for v in data["candidate_pairs"]],
-        matched=[int(v) for v in data["matched"]],
-        discarded_radars=int(data["discarded_radars"]),
-        dropped_aircraft=int(data["dropped_aircraft"]),
-        committed=int(data["committed"]),
-        coasted=int(data["coasted"]),
-        round_radar_ids=[
-            np.asarray(ids, dtype=np.int64) for ids in data["round_radar_ids"]
-        ],
-        round_active_planes=[int(v) for v in data["round_active_planes"]],
-        round_candidates_per_radar=[
-            np.asarray(c, dtype=np.int64) for c in data["round_candidates_per_radar"]
-        ],
-    )
-
-
-def _detection_stats_to_dict(det: DetectionStats) -> Dict[str, Any]:
-    crit = det.critical_per_aircraft
-    return {
-        "pairs_checked": int(det.pairs_checked),
-        "pairs_in_altitude_band": int(det.pairs_in_altitude_band),
-        "conflicts": int(det.conflicts),
-        "critical_conflicts": int(det.critical_conflicts),
-        "flagged_aircraft": int(det.flagged_aircraft),
-        "critical_per_aircraft": None if crit is None else _int_list(crit),
-    }
-
-
-def _detection_stats_from_dict(data: Dict[str, Any]) -> DetectionStats:
-    crit = data["critical_per_aircraft"]
-    return DetectionStats(
-        pairs_checked=int(data["pairs_checked"]),
-        pairs_in_altitude_band=int(data["pairs_in_altitude_band"]),
-        conflicts=int(data["conflicts"]),
-        critical_conflicts=int(data["critical_conflicts"]),
-        flagged_aircraft=int(data["flagged_aircraft"]),
-        critical_per_aircraft=(
-            None if crit is None else np.asarray(crit, dtype=np.int64)
-        ),
-    )
-
-
-def _resolution_stats_to_dict(res: ResolutionStats) -> Dict[str, Any]:
-    return {
-        "needed_resolution": int(res.needed_resolution),
-        "already_clear": int(res.already_clear),
-        "resolved": int(res.resolved),
-        "unresolved": int(res.unresolved),
-        "trials_evaluated": int(res.trials_evaluated),
-        "trials_histogram": {str(k): int(v) for k, v in res.trials_histogram.items()},
-        "attempts": _int_list(res.attempts),
-    }
-
-
-def _resolution_stats_from_dict(data: Dict[str, Any]) -> ResolutionStats:
-    return ResolutionStats(
-        needed_resolution=int(data["needed_resolution"]),
-        already_clear=int(data["already_clear"]),
-        resolved=int(data["resolved"]),
-        unresolved=int(data["unresolved"]),
-        trials_evaluated=int(data["trials_evaluated"]),
-        trials_histogram={
-            int(k): int(v) for k, v in data["trials_histogram"].items()
-        },
-        attempts=np.asarray(data["attempts"], dtype=np.int64),
-    )
-
-
-# ---------------------------------------------------------------------------
 # the trace records
 # ---------------------------------------------------------------------------
 
@@ -218,27 +128,6 @@ class TracePeriod:
     def frame_view(self) -> FrameView:
         return FrameView(n=self.frame_n, match_with=self.match_with)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "n_aircraft": int(self.n_aircraft),
-            "frame_n": int(self.frame_n),
-            "stats": _tracking_stats_to_dict(self.stats),
-            "match_with": _int_list(self.match_with),
-            "r_match": _int_list(self.r_match),
-            "matched_radar": _int_list(self.matched_radar),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "TracePeriod":
-        return cls(
-            n_aircraft=int(data["n_aircraft"]),
-            frame_n=int(data["frame_n"]),
-            stats=_tracking_stats_from_dict(data["stats"]),
-            match_with=np.asarray(data["match_with"], dtype=np.int64),
-            r_match=np.asarray(data["r_match"], dtype=np.int8),
-            matched_radar=np.asarray(data["matched_radar"], dtype=np.int64),
-        )
-
 
 @dataclass
 class CollisionRecord:
@@ -252,23 +141,6 @@ class CollisionRecord:
 
     def fleet_view(self) -> FleetView:
         return FleetView(n=self.n_aircraft, alt=self.alt)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "n_aircraft": int(self.n_aircraft),
-            "alt": [float(v) for v in self.alt],
-            "det": _detection_stats_to_dict(self.det),
-            "res": _resolution_stats_to_dict(self.res),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "CollisionRecord":
-        return cls(
-            n_aircraft=int(data["n_aircraft"]),
-            alt=np.asarray(data["alt"], dtype=np.float64),
-            det=_detection_stats_from_dict(data["det"]),
-            res=_resolution_stats_from_dict(data["res"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -342,6 +214,169 @@ def estimate_trace_bytes(n: int, periods: int) -> int:
     return int(periods) * 56 * int(n) + 32 * int(n) + 4096
 
 
+# ---------------------------------------------------------------------------
+# the array buffer: how a trace is stored on disk and shipped to workers
+# ---------------------------------------------------------------------------
+
+#: First bytes of an encoded trace (see :meth:`FunctionalTrace.to_bytes`).
+TRACE_MAGIC = b"ATMTRACE"
+_DIGEST_END = len(TRACE_MAGIC) + hashlib.sha256().digest_size
+_HEAD_LEN = struct.Struct("<I")
+_PREFIX_LEN = _DIGEST_END + _HEAD_LEN.size
+
+#: The buffer's array dtypes, little-endian on every host.
+_I8, _I1, _F8 = "<i8", "|i1", "<f8"
+
+
+class _BodyWriter:
+    """Collects a buffer's arrays and their table, in write order."""
+
+    def __init__(self) -> None:
+        self.table: List[List[Any]] = []
+        self.chunks: List[bytes] = []
+        self.size = 0
+
+    def put(self, name: str, values: Any, dtype: str) -> None:
+        arr = np.ascontiguousarray(values, dtype=dtype)
+        self.table.append([name, arr.dtype.str, list(arr.shape), self.size])
+        self.chunks.append(arr.tobytes())
+        self.size += arr.nbytes
+
+
+class _BodyReader:
+    """Reads a buffer's arrays back in the order they were written,
+    checking each one's name and dtype against what the reader expects."""
+
+    def __init__(self, table: List[List[Any]], body: memoryview) -> None:
+        self._table = iter(table)
+        self._body = body
+
+    def take(self, name: str, dtype: str) -> np.ndarray:
+        got, got_dtype, shape, offset = next(self._table, (None, None, (), 0))
+        if (got, got_dtype) != (name, dtype):
+            raise ValueError(
+                f"array {got!r} ({got_dtype}) where {name!r} ({dtype}) belongs"
+            )
+        arr = np.frombuffer(self._body, dtype, math.prod(shape), offset)
+        return arr.reshape(shape).copy()
+
+    def finish(self) -> None:
+        if next(self._table, None) is not None:
+            raise ValueError("trace buffer holds arrays no record reads")
+
+
+def _ints(values: Any) -> List[int]:
+    return [int(v) for v in values]
+
+
+def _put_period(rec: TracePeriod, name: str, body: _BodyWriter) -> Dict[str, Any]:
+    stats = rec.stats
+    body.put(f"{name}.match_with", rec.match_with, _I8)
+    body.put(f"{name}.r_match", rec.r_match, _I1)
+    body.put(f"{name}.matched_radar", rec.matched_radar, _I8)
+    for r, ids in enumerate(stats.round_radar_ids):
+        body.put(f"{name}.round_radar_ids.{r}", ids, _I8)
+    for r, counts in enumerate(stats.round_candidates_per_radar):
+        body.put(f"{name}.round_candidates_per_radar.{r}", counts, _I8)
+    return {
+        "n_aircraft": int(rec.n_aircraft),
+        "frame_n": int(rec.frame_n),
+        "rounds_executed": int(stats.rounds_executed),
+        "candidate_pairs": _ints(stats.candidate_pairs),
+        "matched": _ints(stats.matched),
+        "discarded_radars": int(stats.discarded_radars),
+        "dropped_aircraft": int(stats.dropped_aircraft),
+        "committed": int(stats.committed),
+        "coasted": int(stats.coasted),
+        "round_active_planes": _ints(stats.round_active_planes),
+        "round_radar_ids": len(stats.round_radar_ids),
+        "round_candidates_per_radar": len(stats.round_candidates_per_radar),
+    }
+
+
+def _take_period(head: Dict[str, Any], name: str, body: _BodyReader) -> TracePeriod:
+    match_with = body.take(f"{name}.match_with", _I8)
+    r_match = body.take(f"{name}.r_match", _I1)
+    matched_radar = body.take(f"{name}.matched_radar", _I8)
+    stats = TrackingStats(
+        rounds_executed=head["rounds_executed"],
+        candidate_pairs=head["candidate_pairs"],
+        matched=head["matched"],
+        discarded_radars=head["discarded_radars"],
+        dropped_aircraft=head["dropped_aircraft"],
+        committed=head["committed"],
+        coasted=head["coasted"],
+        round_radar_ids=[
+            body.take(f"{name}.round_radar_ids.{r}", _I8)
+            for r in range(head["round_radar_ids"])
+        ],
+        round_active_planes=head["round_active_planes"],
+        round_candidates_per_radar=[
+            body.take(f"{name}.round_candidates_per_radar.{r}", _I8)
+            for r in range(head["round_candidates_per_radar"])
+        ],
+    )
+    return TracePeriod(
+        n_aircraft=head["n_aircraft"],
+        frame_n=head["frame_n"],
+        stats=stats,
+        match_with=match_with,
+        r_match=r_match,
+        matched_radar=matched_radar,
+    )
+
+
+def _put_collision(rec: CollisionRecord, body: _BodyWriter) -> Dict[str, Any]:
+    det, res = rec.det, rec.res
+    body.put("collision.alt", rec.alt, _F8)
+    if det.critical_per_aircraft is not None:
+        body.put("collision.critical_per_aircraft", det.critical_per_aircraft, _I8)
+    body.put("collision.attempts", res.attempts, _I8)
+    return {
+        "n_aircraft": int(rec.n_aircraft),
+        "pairs_checked": int(det.pairs_checked),
+        "pairs_in_altitude_band": int(det.pairs_in_altitude_band),
+        "conflicts": int(det.conflicts),
+        "critical_conflicts": int(det.critical_conflicts),
+        "flagged_aircraft": int(det.flagged_aircraft),
+        "has_critical_per_aircraft": det.critical_per_aircraft is not None,
+        "needed_resolution": int(res.needed_resolution),
+        "already_clear": int(res.already_clear),
+        "resolved": int(res.resolved),
+        "unresolved": int(res.unresolved),
+        "trials_evaluated": int(res.trials_evaluated),
+        # [trials, aircraft] pairs: JSON object keys would be strings.
+        "trials_histogram": [[int(k), int(v)] for k, v in res.trials_histogram.items()],
+    }
+
+
+def _take_collision(head: Dict[str, Any], body: _BodyReader) -> CollisionRecord:
+    alt = body.take("collision.alt", _F8)
+    critical = (
+        body.take("collision.critical_per_aircraft", _I8)
+        if head["has_critical_per_aircraft"]
+        else None
+    )
+    det = DetectionStats(
+        pairs_checked=head["pairs_checked"],
+        pairs_in_altitude_band=head["pairs_in_altitude_band"],
+        conflicts=head["conflicts"],
+        critical_conflicts=head["critical_conflicts"],
+        flagged_aircraft=head["flagged_aircraft"],
+        critical_per_aircraft=critical,
+    )
+    res = ResolutionStats(
+        needed_resolution=head["needed_resolution"],
+        already_clear=head["already_clear"],
+        resolved=head["resolved"],
+        unresolved=head["unresolved"],
+        trials_evaluated=head["trials_evaluated"],
+        trials_histogram={k: v for k, v in head["trials_histogram"]},
+        attempts=body.take("collision.attempts", _I8),
+    )
+    return CollisionRecord(n_aircraft=head["n_aircraft"], alt=alt, det=det, res=res)
+
+
 @dataclass
 class FunctionalTrace:
     """The shared functional pass of one measurement cell.
@@ -389,9 +424,19 @@ class FunctionalTrace:
             == str(getattr(mode, "value", mode))
         )
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serializable form; exact inverse of :meth:`from_dict`."""
-        return {
+    def to_bytes(self) -> bytes:
+        """The trace as one checksummed buffer; :meth:`from_bytes` inverts
+        it exactly.
+
+        Layout: :data:`TRACE_MAGIC`, the SHA-256 of everything after the
+        digest, the header's length (``<u4``), a JSON header, then the
+        arrays' raw bytes.  The header holds the schema and params, each
+        record's scalar stats and short per-round int lists, and the
+        array table: each array's name, dtype, shape and byte offset into
+        the body.  Arrays are stored little-endian with fixed dtypes.
+        """
+        body = _BodyWriter()
+        header = {
             "schema": TRACE_SCHEMA_VERSION,
             "params": {
                 "n": int(self.n_aircraft),
@@ -402,26 +447,57 @@ class FunctionalTrace:
                 "clutter": int(self.clutter),
                 "pruning": str(self.pruning),
             },
-            "periods": [p.to_dict() for p in self.period_records],
-            "collision": self.collision.to_dict(),
+            "periods": [
+                _put_period(rec, f"periods.{i}", body)
+                for i, rec in enumerate(self.period_records)
+            ],
+            "collision": _put_collision(self.collision, body),
+            "arrays": body.table,
         }
+        head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        pieces = [_HEAD_LEN.pack(len(head)), head, *body.chunks]
+        digest = hashlib.sha256()
+        for piece in pieces:
+            digest.update(piece)
+        return b"".join([TRACE_MAGIC, digest.digest(), *pieces])
 
     @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FunctionalTrace":
-        if int(data.get("schema", -1)) != TRACE_SCHEMA_VERSION:
-            raise ValueError(f"unsupported trace schema {data.get('schema')!r}")
-        params = data["params"]
-        return cls(
-            n_aircraft=int(params["n"]),
-            seed=int(params["seed"]),
-            periods=int(params["periods"]),
+    def from_bytes(cls, raw: bytes) -> "FunctionalTrace":
+        """Decode :meth:`to_bytes` output.
+
+        Raises ``ValueError`` unless the magic, the digest, the schema
+        and the array table all check out.
+        """
+        view = memoryview(raw)
+        if len(view) < _PREFIX_LEN or bytes(view[: len(TRACE_MAGIC)]) != TRACE_MAGIC:
+            raise ValueError("not a trace buffer")
+        digest = bytes(view[len(TRACE_MAGIC) : _DIGEST_END])
+        if hashlib.sha256(view[_DIGEST_END:]).digest() != digest:
+            raise ValueError("trace buffer digest mismatch")
+        (head_len,) = _HEAD_LEN.unpack_from(view, _DIGEST_END)
+        header = json.loads(bytes(view[_PREFIX_LEN : _PREFIX_LEN + head_len]))
+        if not isinstance(header, dict):
+            raise ValueError("trace header is not a JSON object")
+        if header.get("schema") != TRACE_SCHEMA_VERSION:
+            raise ValueError(f"unsupported trace schema {header.get('schema')!r}")
+        body = _BodyReader(header["arrays"], view[_PREFIX_LEN + head_len :])
+        params = header["params"]
+        trace = cls(
+            n_aircraft=params["n"],
+            seed=params["seed"],
+            periods=params["periods"],
             mode=DetectionMode(params["mode"]),
-            dropout=float(params["dropout"]),
-            clutter=int(params["clutter"]),
-            pruning=str(params.get("pruning", "off")),
-            period_records=[TracePeriod.from_dict(p) for p in data["periods"]],
-            collision=CollisionRecord.from_dict(data["collision"]),
+            dropout=params["dropout"],
+            clutter=params["clutter"],
+            pruning=params["pruning"],
+            period_records=[
+                _take_period(rec, f"periods.{i}", body)
+                for i, rec in enumerate(header["periods"])
+            ],
+            collision=_take_collision(header["collision"], body),
         )
+        body.finish()
+        return trace
 
 
 def trace_key(

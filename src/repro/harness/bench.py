@@ -36,6 +36,7 @@ regime") and ``make bench-large-smoke``.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import platform as _platform
 import sys
@@ -219,17 +220,15 @@ def render_bench(result: Dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
-def _functional_payload(trace: Any) -> Dict[str, Any]:
-    """A trace's payload with the execution-policy params stripped.
+def _functional_bytes(trace: Any) -> bytes:
+    """A trace's array buffer with the execution-policy param normalized.
 
     The sweepline pruner must change *how* the functional pass runs,
     never *what* it computes — so two traces of the same cell are
-    functionally identical iff their payloads match once ``pruning``
-    (an execution policy, not a result) is removed.
+    functionally identical iff their buffers match once ``pruning``
+    (an execution policy, not a result) is set alike.
     """
-    payload = trace.to_dict()
-    payload.get("params", {}).pop("pruning", None)
-    return payload
+    return dataclasses.replace(trace, pruning="off").to_bytes()
 
 
 def _peak_trace_bytes(snapshot: Dict[str, Any]) -> Dict[str, float]:
@@ -294,7 +293,7 @@ def run_bench_large(
         calibration_n, seed=seed, periods=periods, mode=mode, pruning="on"
     )
     pruned_s = time.perf_counter() - t0
-    equivalent = _functional_payload(brute) == _functional_payload(pruned)
+    equivalent = _functional_bytes(brute) == _functional_bytes(pruned)
 
     # --- the large run: one pruned sweep at n under a private registry
     registry = MetricsRegistry()

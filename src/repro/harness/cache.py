@@ -19,9 +19,12 @@ Consequences, by construction:
 * a version bump invalidates the whole cache (models may have been
   recalibrated between releases).
 
-Layout (all JSON, human-inspectable)::
+Layout: a result-cache entry is JSON, human-inspectable; a stored trace
+(:class:`TraceStore`, which the CLI roots at ``<root>/traces``) is the
+trace's array buffer::
 
     <root>/v2/<key[:2]>/<key>.json
+    <root>/traces/v3/<key[:2]>/<key>.trace
 
 **Integrity.** Every entry carries a SHA-256 digest of its payload.  A
 file that fails to parse, fails its digest, or decodes to the wrong
@@ -77,8 +80,12 @@ CACHE_SCHEMA_VERSION = 2
 
 #: On-disk layout version of the trace tier (the *content* schema is
 #: :data:`repro.core.trace.TRACE_SCHEMA_VERSION`, which also keys the
-#: trace fingerprints).  v2: checksummed entries.
-TRACE_STORE_VERSION = 2
+#: trace fingerprints).  v2: checksummed JSON entries; v3: checksummed
+#: array buffers (``.trace`` files).
+TRACE_STORE_VERSION = 3
+
+#: File suffixes of store entries, every layout version's.
+_ENTRY_SUFFIXES = (".json", ".trace")
 
 #: Where the CLI keeps its cache unless told otherwise.
 DEFAULT_CACHE_DIR = ".atm-repro-cache"
@@ -99,18 +106,20 @@ def _ambient_faults():
 
 
 class _ChecksumStore:
-    """Shared machinery of the two content-addressed JSON stores.
+    """Shared machinery of the two content-addressed stores.
 
-    Subclasses say what the payload is (``_payload_field``), how to
-    decode it (``_decode``), which schema tag entries carry
-    (``_entry_schema``) and which path subtree they live in
-    (``_subtree``).  This base class owns the integrity contract:
-    checksummed atomic writes, digest-verified reads, quarantine of
-    anything corrupt, and traffic counters (``hits`` / ``misses`` /
-    ``stores`` / ``quarantined`` / ``io_errors``).
+    Subclasses say where entries live (``_subtree``, ``_suffix``) and
+    how an entry's bytes encode and decode (``_encode``, ``_decode``);
+    ``_decode`` verifies the entry's key, schema and digest, raising
+    :class:`_CorruptEntry`.  This base class owns the integrity path
+    both encodings share: atomic writes through a per-thread temp file,
+    verified reads, quarantine of anything corrupt, and traffic
+    counters (``hits`` / ``misses`` / ``stores`` / ``quarantined`` /
+    ``io_errors``).
     """
 
-    _payload_field: str = ""
+    #: file name suffix of this store's entries.
+    _suffix: str = ""
     #: fault kind a FaultPlan uses to corrupt entries of this store.
     _corrupt_kind: str = ""
     #: ``store`` label on the ``atm_store_requests`` metric family.
@@ -132,14 +141,14 @@ class _ChecksumStore:
     def _subtree(self) -> str:
         raise NotImplementedError
 
-    def _entry_schema(self) -> int:
+    def _encode(self, key: str, value: Any) -> bytes:
         raise NotImplementedError
 
-    def _decode(self, payload: Dict[str, Any]) -> Any:
+    def _decode(self, key: str, raw: bytes) -> Any:
         raise NotImplementedError
 
     def _path(self, key: str) -> Path:
-        return self.root / self._subtree() / key[:2] / f"{key}.json"
+        return self.root / self._subtree() / key[:2] / f"{key}{self._suffix}"
 
     # -- get / put ------------------------------------------------------
 
@@ -150,32 +159,11 @@ class _ChecksumStore:
         other ``OSError`` (an I/O problem, not corruption) separately —
         corruption means the *bytes* are there but wrong.
         """
-        raw = path.read_text(encoding="utf-8")
+        raw = path.read_bytes()
         try:
-            entry = json.loads(raw)
-        except ValueError as exc:
-            raise _CorruptEntry(f"not valid JSON: {exc}") from None
-        if not isinstance(entry, dict):
-            raise _CorruptEntry("entry is not a JSON object")
-        if entry.get("key") != path.stem:
-            # The key and schema fields sit outside the payload digest;
-            # a bit flip there must still read as corruption, not as a
-            # valid entry under a different identity.
-            raise _CorruptEntry("entry key does not match its path")
-        if entry.get("schema") != self._entry_schema():
-            raise _CorruptEntry(f"unexpected entry schema {entry.get('schema')!r}")
-        payload = entry.get(self._payload_field)
-        digest = entry.get("sha256")
-        if payload is None or digest is None:
-            raise _CorruptEntry(
-                f"entry lacks {self._payload_field!r}/'sha256' fields"
-            )
-        if digest != fingerprint_of(payload):
-            raise _CorruptEntry("payload digest mismatch")
-        try:
-            return self._decode(payload)
+            return self._decode(path.stem, raw)
         except (ValueError, KeyError, TypeError) as exc:
-            raise _CorruptEntry(f"payload does not decode: {exc!r}") from None
+            raise _CorruptEntry(f"entry does not decode: {exc!r}") from None
 
     def _quarantine(self, path: Path, reason: str) -> None:
         """Move a corrupt entry aside — visible, counted, never deleted."""
@@ -227,20 +215,13 @@ class _ChecksumStore:
         self._count("hit")
         return value
 
-    def put(self, key: str, payload: Dict[str, Any]) -> None:
-        """Store ``payload`` under ``key`` (atomic, checksummed write)."""
+    def put(self, key: str, value: Any) -> None:
+        """Store ``value`` under ``key`` (atomic, checksummed write)."""
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        entry = {
-            "key": key,
-            "schema": self._entry_schema(),
-            "sha256": fingerprint_of(payload),
-            self._payload_field: payload,
-        }
         # One temp file per thread: two threads may write one entry.
         tmp = path.with_name(f"{key}.tmp.{os.getpid()}.{threading.get_ident()}")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(entry, fh, sort_keys=True)
+        tmp.write_bytes(self._encode(key, value))
         os.replace(tmp, path)
         self.stores += 1
         self._count("store")
@@ -250,20 +231,33 @@ class _ChecksumStore:
 
     # -- maintenance / introspection ------------------------------------
 
-    def _entry_paths(self):
-        if not self.root.exists():
-            return
-        yield from sorted(self.root.glob("v*/??/*.json"))
+    def _subtrees(self) -> List[Path]:
+        """This store's entry subtrees, one per layout version (``v*/``)."""
+        if not self.root.is_dir():
+            return []
+        return sorted(
+            p for p in self.root.iterdir()
+            if p.is_dir() and p.name[:1] == "v" and p.name[1:].isdigit()
+        )
 
-    def _quarantine_paths(self):
+    def _entry_paths(self) -> List[Path]:
+        return [
+            p
+            for subtree in self._subtrees()
+            for p in sorted(subtree.glob("??/*"))
+            if p.suffix in _ENTRY_SUFFIXES
+        ]
+
+    def _quarantine_paths(self) -> List[Path]:
         qdir = self.root / QUARANTINE_DIR
-        if not qdir.exists():
-            return
-        yield from sorted(qdir.glob("*.json"))
+        if not qdir.is_dir():
+            return []
+        return sorted(p for p in qdir.iterdir() if p.is_file())
 
     def stats(self) -> Dict[str, Any]:
-        """Traffic counters plus what is on disk right now."""
-        entries = list(self._entry_paths())
+        """Traffic counters plus what is on disk right now (entries of
+        every layout version, stale ones included)."""
+        entries = self._entry_paths()
         return {
             "root": str(self.root),
             "entries": len(entries),
@@ -272,15 +266,21 @@ class _ChecksumStore:
             "misses": self.misses,
             "stores": self.stores,
             "quarantined": self.quarantined,
-            "quarantine_files": len(list(self._quarantine_paths())),
+            "quarantine_files": len(self._quarantine_paths()),
             "io_errors": self.io_errors,
         }
 
     def clear(self) -> int:
-        """Delete every entry (quarantine included); returns the count."""
-        removed = len(list(self._entry_paths()))
-        if self.root.exists():
-            shutil.rmtree(self.root)
+        """Delete this store's entries, of every layout version; returns
+        the count.  Everything else under the root stays: quarantined
+        entries, journals and other stores.  A root left empty goes."""
+        removed = len(self._entry_paths())
+        for subtree in self._subtrees():
+            shutil.rmtree(subtree)
+        try:
+            self.root.rmdir()
+        except OSError:
+            pass  # absent, or holds what is not this store's to delete
         return removed
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -299,7 +299,7 @@ class ResultCache(_ChecksumStore):
     alone.
     """
 
-    _payload_field = "measurement"
+    _suffix = ".json"
     _corrupt_kind = "corrupt-result"
     _store_label = "result"
 
@@ -344,12 +344,38 @@ class ResultCache(_ChecksumStore):
     def _subtree(self) -> str:
         return f"v{CACHE_SCHEMA_VERSION}"
 
-    def _entry_schema(self) -> int:
-        return CACHE_SCHEMA_VERSION
+    def _encode(self, key: str, measurement: "PlatformMeasurement") -> bytes:
+        payload = measurement.to_dict()
+        entry = {
+            "key": key,
+            "schema": CACHE_SCHEMA_VERSION,
+            "sha256": fingerprint_of(payload),
+            "measurement": payload,
+        }
+        return json.dumps(entry, sort_keys=True).encode("utf-8")
 
-    def _decode(self, payload: Dict[str, Any]) -> "PlatformMeasurement":
+    def _decode(self, key: str, raw: bytes) -> "PlatformMeasurement":
         from .sweep import PlatformMeasurement
 
+        try:
+            entry = json.loads(raw)
+        except ValueError as exc:
+            raise _CorruptEntry(f"not valid JSON: {exc}") from None
+        if not isinstance(entry, dict):
+            raise _CorruptEntry("entry is not a JSON object")
+        if entry.get("key") != key:
+            # The key and schema fields sit outside the payload digest;
+            # a bit flip there must still read as corruption, not as a
+            # valid entry under a different identity.
+            raise _CorruptEntry("entry key does not match its path")
+        if entry.get("schema") != CACHE_SCHEMA_VERSION:
+            raise _CorruptEntry(f"unexpected entry schema {entry.get('schema')!r}")
+        payload = entry.get("measurement")
+        digest = entry.get("sha256")
+        if payload is None or digest is None:
+            raise _CorruptEntry("entry lacks 'measurement'/'sha256' fields")
+        if digest != fingerprint_of(payload):
+            raise _CorruptEntry("payload digest mismatch")
         return PlatformMeasurement.from_dict(payload)
 
     def get(self, key: str) -> Optional["PlatformMeasurement"]:
@@ -358,7 +384,7 @@ class ResultCache(_ChecksumStore):
 
     def put(self, key: str, measurement: "PlatformMeasurement") -> None:
         """Store ``measurement`` under ``key`` (atomic checksummed write)."""
-        super().put(key, measurement.to_dict())
+        super().put(key, measurement)
 
 
 class TraceStore(_ChecksumStore):
@@ -371,30 +397,35 @@ class TraceStore(_ChecksumStore):
     fingerprints deliberately do **not** participate: the whole point of
     the trace tier is that one functional pass serves every backend.
 
-    Same layout and failure semantics as :class:`ResultCache`::
+    Each entry is the trace's checksummed array buffer
+    (:meth:`~repro.core.trace.FunctionalTrace.to_bytes`), whose SHA-256
+    covers its header and its arrays::
 
-        <root>/v2/<key[:2]>/<key>.json
+        <root>/v3/<key[:2]>/<key>.trace
 
-    Corrupt entries are quarantined and report as misses; see the
-    module docstring for the full integrity contract.
+    A read verifies the buffer's magic, digest and schema, and that the
+    decoded trace's own key is the one in the path.  Corrupt entries
+    are quarantined and report as misses, as in :class:`ResultCache`;
+    see the module docstring for the full integrity contract.
     """
 
-    _payload_field = "trace"
+    _suffix = ".trace"
     _corrupt_kind = "corrupt-trace"
     _store_label = "trace"
 
     def _subtree(self) -> str:
         return f"v{TRACE_STORE_VERSION}"
 
-    def _entry_schema(self) -> int:
-        from ..core.trace import TRACE_SCHEMA_VERSION
+    def _encode(self, key: str, trace: "FunctionalTrace") -> bytes:
+        return trace.to_bytes()
 
-        return TRACE_SCHEMA_VERSION
-
-    def _decode(self, payload: Dict[str, Any]) -> "FunctionalTrace":
+    def _decode(self, key: str, raw: bytes) -> "FunctionalTrace":
         from ..core.trace import FunctionalTrace
 
-        return FunctionalTrace.from_dict(payload)
+        trace = FunctionalTrace.from_bytes(raw)
+        if trace.key() != key:
+            raise _CorruptEntry("entry key does not match its path")
+        return trace
 
     def get(self, key: str) -> Optional["FunctionalTrace"]:
         """The stored trace under ``key``, or None (counted)."""
@@ -402,7 +433,7 @@ class TraceStore(_ChecksumStore):
 
     def put(self, key: str, trace: "FunctionalTrace") -> None:
         """Store ``trace`` under ``key`` (atomic checksummed write)."""
-        super().put(key, trace.to_dict())
+        super().put(key, trace)
 
 
 class CellStore:

@@ -29,6 +29,7 @@ import sys
 from typing import List, Optional
 
 from ..backends.registry import available_backends, resolve_backend
+from ..service.config import ServiceConfig
 from .figures import EXPERIMENTS, run_experiment
 
 __all__ = ["main", "build_parser"]
@@ -558,26 +559,27 @@ def build_parser() -> argparse.ArgumentParser:
         "--jsonl", default=None, metavar="FILE", help="write JSON-lines spans here"
     )
 
+    served = ServiceConfig()
     serve = sub.add_parser(
         "serve",
         help="run the ATM-as-a-service sweep server (docs/service.md)",
     )
-    serve.add_argument("--host", default="127.0.0.1", help="bind address")
+    serve.add_argument("--host", default=served.host, help="bind address")
     serve.add_argument(
         "--port",
         type=int,
-        default=8018,
+        default=served.port,
         help="TCP port; 0 binds an ephemeral port and prints it",
     )
     serve.add_argument(
         "--jobs",
         type=int,
-        default=1,
+        default=served.jobs,
         help="worker processes per batched sweep dispatch",
     )
     serve.add_argument(
         "--cache-dir",
-        default=None,
+        default=served.cache_dir,
         metavar="DIR",
         help="share the on-disk result cache with batch runs"
         " (default: in-memory only)",
@@ -585,34 +587,34 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--batch-window",
         type=float,
-        default=0.05,
+        default=served.batch_window_s,
         metavar="S",
-        help="seconds to hold the first queued cell while compatible"
-        " cells accumulate into one dispatch (default 0.05)",
+        help="seconds a batch waits for more cells after taking every"
+        " queued one; 0 dispatches the backlog at once (default %(default)s)",
     )
     serve.add_argument(
         "--max-batch-cells",
         type=int,
-        default=64,
+        default=served.max_batch_cells,
         help="largest number of cells dispatched as one batch",
     )
     serve.add_argument(
         "--max-queue-cells",
         type=int,
-        default=1024,
+        default=served.max_queue_cells,
         help="admission control: queue depth beyond which requests are"
-        " rejected with 503 (default 1024)",
+        " rejected with 503 (default %(default)s)",
     )
     serve.add_argument(
         "--default-deadline",
         type=float,
-        default=30.0,
+        default=served.default_deadline_s,
         metavar="S",
         help="admission deadline budget for requests that send none",
     )
     serve.add_argument(
         "--journal",
-        default=None,
+        default=served.journal_path,
         metavar="FILE",
         help="request-journal path (default: <cache-dir>/"
         "service-journal.jsonl; no journal without a cache dir)",
@@ -620,16 +622,17 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--resume",
         action="store_true",
+        default=served.resume,
         help="replay the request journal: restore served cells and"
         " re-enqueue admitted-but-unserved ones (docs/service.md)",
     )
     serve.add_argument(
         "--drain-timeout",
         type=float,
-        default=10.0,
+        default=served.drain_timeout_s,
         metavar="S",
         help="graceful-shutdown budget: seconds SIGTERM/SIGINT waits"
-        " for in-flight work to flush before exiting (default 10)",
+        " for in-flight work to flush before exiting (default %(default)s)",
     )
     serve.add_argument(
         "--inject-faults",
@@ -1088,7 +1091,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.command == "serve":
-        from ..service import ServiceConfig, run_server
+        from ..service import run_server
         from .faults import parse_fault_spec
 
         if args.resume and not (args.cache_dir or args.journal):

@@ -208,7 +208,7 @@ def _measure_shard(
     seed: int,
     periods: int,
     mode_value: str,
-    trace_payload: Optional[Any] = None,
+    trace_payload: Optional[bytes] = None,
     inject: Optional[Tuple[str, float]] = None,
     collect: bool = False,
     pruning: str = "auto",
@@ -223,14 +223,14 @@ def _measure_shard(
     worker never touches the cache — the parent owns all cache traffic
     so hit/miss counters and writes stay in one process.
 
-    ``trace_payload`` is the dict form of the cell's
-    :class:`~repro.core.trace.FunctionalTrace` (the parent computes each
-    distinct fleet size once, possibly on this same pool); the worker
-    replays cost models from it.  Without one — the trace engine is off,
-    or the payload would exceed the trace budget's shipping bound — the
-    worker streams a private functional pass under ``pruning``.  Workers
-    never consult ambient policy, so shard results are pure functions of
-    the argument tuple.
+    ``trace_payload`` is the cell's
+    :class:`~repro.core.trace.FunctionalTrace` as its checksummed array
+    buffer (the parent computes each distinct fleet size once, possibly
+    on this same pool); the worker replays cost models from it.  Without
+    one — the trace engine is off, or the payload would exceed the trace
+    budget's shipping bound — the worker streams a private functional
+    pass under ``pruning``.  Workers never consult ambient policy, so
+    shard results are pure functions of the argument tuple.
 
     ``inject`` is a parent-issued chaos directive ``(kind, param)``
     realised before any work happens: ``crash`` kills this process,
@@ -253,7 +253,9 @@ def _measure_shard(
     from ..obs.metrics import recording
     from .sweep import measure_platform
 
-    trace = False if trace_payload is None else FunctionalTrace.from_dict(trace_payload)
+    trace = (
+        False if trace_payload is None else FunctionalTrace.from_bytes(trace_payload)
+    )
     with ExitStack() as scopes:
         c = scopes.enter_context(collecting(Collector())) if collect else None
         r = scopes.enter_context(recording()) if metrics else None
@@ -290,8 +292,9 @@ def _compute_trace_shard(
     periods: int,
     mode_value: str,
     pruning: str = "auto",
-) -> Dict[str, Any]:
-    """Run the functional simulation for one fleet size in a worker."""
+) -> bytes:
+    """Run the functional simulation for one fleet size in a worker;
+    returns the trace's array buffer."""
     from ..core.collision import DetectionMode
     from ..core.trace import compute_trace
 
@@ -301,7 +304,7 @@ def _compute_trace_shard(
         periods=periods,
         mode=DetectionMode(mode_value),
         pruning=pruning,
-    ).to_dict()
+    ).to_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -445,14 +448,15 @@ def _pool_trace_payloads(
     mode_value: str,
     jobs: int,
     opts: SweepOptions,
-) -> Dict[int, Dict[str, Any]]:
-    """Each distinct fleet size's functional trace, computed once.
+) -> Dict[int, bytes]:
+    """Each distinct fleet size's functional trace, computed once, as
+    the array buffer every shard of that size is shipped.
 
     Sharded across the pool; a pool failure here falls back to an
     inline functional pass (counted), never aborts the sweep.  Cells
     whose trace would exceed the budget's shipping bound get no payload
     — each worker streams its own (pruned) pass rather than receive a
-    multi-GB dict.
+    multi-GB buffer.
     """
     from ..core.trace import (
         DEFAULT_TRACE_BUDGET,
@@ -463,7 +467,7 @@ def _pool_trace_payloads(
     from .sweep import _lookup_trace, _remember_trace
 
     budget = opts.trace_budget or DEFAULT_TRACE_BUDGET
-    payload_by_n: Dict[int, Dict[str, Any]] = {}
+    payload_by_n: Dict[int, bytes] = {}
     missing: List[int] = []
     for n_val in wanted_ns:
         if not budget.allows_payload(estimate_trace_bytes(n_val, periods)):
@@ -477,7 +481,7 @@ def _pool_trace_payloads(
             pruning=opts.pruning,
         )
         if t is not None:
-            payload_by_n[n_val] = t.to_dict()
+            payload_by_n[n_val] = t.to_bytes()
         else:
             missing.append(n_val)
     trace_futures = [
@@ -515,7 +519,7 @@ def _pool_trace_payloads(
                 periods=periods,
                 mode=mode,
                 pruning=opts.pruning,
-            ).to_dict()
+            ).to_bytes()
         with obs_span(
             "harness.trace",
             cat="harness",
@@ -527,7 +531,7 @@ def _pool_trace_payloads(
         metric_inc("atm_trace_requests", source=source)
         payload_by_n[n_val] = payload
         _remember_trace(
-            FunctionalTrace.from_dict(payload), opts.traces, budget=budget
+            FunctionalTrace.from_bytes(payload), opts.traces, budget=budget
         )
     if broken and not box.rebuild():
         raise _PoolGone
@@ -567,7 +571,7 @@ def _execute_pool_shards(
     box = _PoolBox(min(jobs, len(poolable)), rebuild_budget=retry.max_attempts)
     degraded: List[Tuple[int, int, Any, Optional[str]]] = []
     try:
-        payload_by_n: Dict[int, Dict[str, Any]] = {}
+        payload_by_n: Dict[int, bytes] = {}
         if opts.trace:
             try:
                 payload_by_n = _pool_trace_payloads(

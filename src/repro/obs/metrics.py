@@ -455,8 +455,8 @@ DECLARATIONS: Dict[str, MetricDecl] = {
             help=(
                 "Requests seen by the sweep service (or, with"
                 " endpoint=client, sent by the load generator); labels:"
-                " endpoint, outcome (served|coalesced|rejected_deadline|"
-                "rejected_backpressure|bad_request|error)"
+                " endpoint, outcome (served|rejected_deadline|"
+                "rejected_backpressure|rejected_draining|bad_request|error)"
             ),
         ),
         MetricDecl(

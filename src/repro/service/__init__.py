@@ -12,30 +12,33 @@ for the server, ``atm-repro loadtest`` / :func:`repro.service.run_loadgen`
 for the closed-loop load generator.
 """
 
-from .journal import RequestJournal
-from .loadgen import LoadgenOptions, render_summary, run_loadgen
-from .protocol import (
-    CellRequest,
-    ProtocolError,
-    parse_cell_request,
-    parse_sweep_request,
-    payload_bytes,
-    sweep_payload_bytes,
-)
-from .server import ServiceConfig, SweepService, run_server
+import importlib
+from typing import Any
 
-__all__ = [
-    "CellRequest",
-    "LoadgenOptions",
-    "ProtocolError",
-    "RequestJournal",
-    "ServiceConfig",
-    "SweepService",
-    "parse_cell_request",
-    "parse_sweep_request",
-    "payload_bytes",
-    "render_summary",
-    "run_loadgen",
-    "run_server",
-    "sweep_payload_bytes",
-]
+#: public name -> the submodule defining it.  A submodule loads on the
+#: first use of one of its names, so the CLI reads ``ServiceConfig``
+#: (the ``serve`` defaults) without importing asyncio into every command.
+_EXPORTS = {
+    "CellRequest": "protocol",
+    "LoadgenOptions": "loadgen",
+    "ProtocolError": "protocol",
+    "RequestJournal": "journal",
+    "ServiceConfig": "config",
+    "SweepService": "server",
+    "parse_cell_request": "protocol",
+    "parse_sweep_request": "protocol",
+    "payload_bytes": "protocol",
+    "render_summary": "loadgen",
+    "run_loadgen": "loadgen",
+    "run_server": "server",
+    "sweep_payload_bytes": "protocol",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)

@@ -13,9 +13,10 @@ reimplementing it:
   being measured await the in-flight future instead of queueing a
   duplicate.
 * **Batching** — one admission path (:meth:`SweepService._submit`)
-  serves ``/v1/cell``, ``/v1/sweep`` and journal replay; admitted cells
-  accumulate for one batch window, then compatible cells (same
-  seed/periods/mode) dispatch **together** through
+  serves ``/v1/cell``, ``/v1/sweep`` and journal replay; whenever the
+  dispatch thread is free, every admitted cell already queued forms
+  one batch, and compatible cells (same seed/periods/mode) dispatch
+  **together** through
   :func:`repro.harness.parallel.measure_cells`, sharing its process
   pool, functional-trace memoization and fault tolerance.
 * **Admission control** — before a cell is queued, the
@@ -64,7 +65,6 @@ from ..analysis.deadlines import AdmissionController, AdmissionVerdict
 from ..backends.registry import available_backends
 from ..core.collision import DetectionMode
 from ..harness.cache import CellStore
-from ..harness.faults import FaultPlan
 from ..obs import span as obs_span
 from ..obs.metrics import (
     MetricsRegistry,
@@ -76,6 +76,7 @@ from ..obs.metrics import (
     metric_set,
     to_openmetrics,
 )
+from .config import ServiceConfig
 from .journal import RequestJournal
 from .protocol import (
     CellRequest,
@@ -109,36 +110,6 @@ _REJECT_STATUS = {
 
 #: Measurements the service's memory tier holds (an LRU, in cells).
 _MEMORY_CELLS = 4096
-
-
-@dataclass(frozen=True)
-class ServiceConfig:
-    """Tunables of one :class:`SweepService` instance."""
-
-    host: str = "127.0.0.1"
-    port: int = 8018
-    #: worker processes per batched dispatch (measure_cells jobs).
-    jobs: int = 1
-    #: result/trace cache directory, or None for in-memory only.
-    cache_dir: Optional[str] = None
-    #: how long admitted cells accumulate before a batch dispatches.
-    batch_window_s: float = 0.05
-    #: most distinct cells folded into one dispatch.
-    max_batch_cells: int = 64
-    #: backpressure bound: queued + in-dispatch cells beyond this reject.
-    max_queue_cells: int = 1024
-    #: deadline budget for requests that do not send ``deadline_s``.
-    default_deadline_s: float = 30.0
-    #: request-journal path; None derives <cache_dir>/service-journal.jsonl
-    #: (no journal at all when cache_dir is also unset).
-    journal_path: Optional[str] = None
-    #: replay the request journal instead of discarding it.
-    resume: bool = False
-    #: graceful-shutdown budget: seconds the drain waits for in-flight
-    #: cells and requests to flush before the process exits anyway.
-    drain_timeout_s: float = 10.0
-    #: service-layer fault plan (--inject-faults), or None.
-    faults: Optional[FaultPlan] = None
 
 
 @dataclass
@@ -428,7 +399,7 @@ class SweepService:
         half-queued.  Every added cell is journaled and enqueued before
         anything is awaited: no suspension point sits between the
         lookups and the queue fills, so the coalescing map stays
-        consistent and a whole sweep lands in one batch window.  Every
+        consistent and a whole sweep lands in one batch.  Every
         awaited cell times out at the request's own budget.  ``source``
         is ``cache`` when nothing was awaited, ``coalesced`` when every
         awaited cell was already in flight, else ``computed``.
@@ -489,12 +460,24 @@ class SweepService:
     # -- batching -------------------------------------------------------
 
     async def _batch_loop(self) -> None:
-        """Collect admitted cells for one window, dispatch, repeat."""
+        """Batch by backlog: dispatch every queued cell, repeat.
+
+        Whenever the dispatch thread is free, the batch is the first
+        queued cell plus every cell already queued behind it (up to
+        ``max_batch_cells``), taken without awaiting — so a sweep, whose
+        cells are enqueued with no suspension point between them, lands
+        in one dispatch, and cells arriving during a dispatch form the
+        next batch.  Only a positive ``batch_window_s`` then waits up to
+        that long for more cells.
+        """
         loop = asyncio.get_running_loop()
         while True:
             batch = [await self._queue.get()]
             window_ends = loop.time() + self.config.batch_window_s
             while len(batch) < self.config.max_batch_cells:
+                if not self._queue.empty():
+                    batch.append(self._queue.get_nowait())
+                    continue
                 remaining = window_ends - loop.time()
                 if remaining <= 0:
                     break

@@ -1,7 +1,5 @@
 """Unit tests for the functional-trace artifact (repro.core.trace)."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -63,24 +61,39 @@ class TestComputeTrace:
 
 
 class TestRoundTrip:
-    def test_json_round_trip_is_exact(self):
+    def test_bytes_round_trip_is_exact(self):
         trace = compute_trace(128, seed=2018, periods=2)
-        payload = json.loads(json.dumps(trace.to_dict()))
-        back = FunctionalTrace.from_dict(payload)
-        assert back.to_dict() == trace.to_dict()
+        raw = trace.to_bytes()
+        back = FunctionalTrace.from_bytes(raw)
+        assert back.to_bytes() == raw
         # array dtypes survive the round trip (backends index with these)
         rec = back.period_records[0]
         assert rec.match_with.dtype == np.int64
         assert rec.r_match.dtype == np.int8
         assert rec.matched_radar.dtype == np.int64
         assert back.collision.alt.dtype == np.float64
+        assert back.collision.res.attempts.dtype == np.int64
+        assert rec.stats.round_radar_ids[0].dtype == np.int64
 
-    def test_from_dict_rejects_unknown_schema(self):
+    def test_from_bytes_rejects_unknown_schema(self, monkeypatch):
+        from repro.core import trace as trace_module
+
         trace = compute_trace(64, periods=1)
-        payload = trace.to_dict()
-        payload["schema"] = TRACE_SCHEMA_VERSION + 1
-        with pytest.raises(ValueError):
-            FunctionalTrace.from_dict(payload)
+        monkeypatch.setattr(
+            trace_module, "TRACE_SCHEMA_VERSION", TRACE_SCHEMA_VERSION + 1
+        )
+        raw = trace.to_bytes()
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match="schema"):
+            FunctionalTrace.from_bytes(raw)
+
+    def test_from_bytes_rejects_a_damaged_buffer(self):
+        raw = compute_trace(64, periods=1).to_bytes()
+        flipped = bytearray(raw)
+        flipped[-1] ^= 0x10
+        for bad in (b"", raw[:20], raw[:-1], bytes(flipped), b"{not a trace"):
+            with pytest.raises(ValueError):
+                FunctionalTrace.from_bytes(bad)
 
 
 class TestTraceKey:

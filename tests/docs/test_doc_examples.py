@@ -137,3 +137,44 @@ def test_bench_records_called_committed_exist(relpath):
     assert not missing, (
         f"{relpath} calls {missing} committed, but no such file exists"
     )
+
+
+@pytest.mark.docs
+def test_service_tuning_table_lists_every_serve_flag_with_its_default():
+    """docs/service.md's "Tuning knobs" table names every ``serve`` flag,
+    with the parser's default: a number or a string as the parser has
+    it, and words (``off``, ``in-memory only``, a derived path) for a
+    flag that defaults to nothing."""
+    import argparse
+
+    from repro.harness.cli import build_parser
+
+    subparsers = next(
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    serve = subparsers.choices["serve"]
+    text = (REPO_ROOT / "docs" / "service.md").read_text(encoding="utf-8")
+    table = text.split("## Tuning knobs", 1)[1].split("\n\n", 2)[1]
+    rows = {}
+    for line in table.splitlines()[2:]:
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        rows[cells[0].strip("`")] = cells[1].strip("`")
+    flags = [
+        max(action.option_strings, key=len)
+        for action in serve._actions
+        if not isinstance(action, argparse._HelpAction)
+    ]
+    assert sorted(rows) == sorted(flags)
+    for action in serve._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        flag, default = max(action.option_strings, key=len), action.default
+        documented = rows[flag]
+        if default is None or default is False:
+            assert not documented[:1].isdigit(), (flag, documented)
+        elif isinstance(default, str):
+            assert documented == default, (flag, documented)
+        else:
+            assert float(documented.split()[0]) == default, (flag, documented)

@@ -38,6 +38,39 @@ class TestKeys:
             keys.add(cache.key_for(b, **change))
         assert len(keys) == 5
 
+    @pytest.mark.parametrize("pruning", ["auto", "on", "off"])
+    def test_key_is_the_fingerprint_of_its_record(self, pruning):
+        """Keys stay byte-identical: ``key_for`` hashes the record with
+        the backend's ``describe()`` canonicalized, for every platform
+        and both sides of the pruning threshold."""
+        from repro import __version__
+        from repro.backends.registry import available_backends
+        from repro.core.canonical import canonicalize, fingerprint_of
+        from repro.core.sweepline import PRUNE_MIN_N, resolve_pruning
+
+        for name in available_backends():
+            backend = resolve_backend(name)
+            for n in (96, PRUNE_MIN_N - 1, PRUNE_MIN_N):
+                record = {
+                    "schema": CACHE_SCHEMA_VERSION,
+                    "backend": {
+                        "describe": canonicalize(backend.describe()),
+                        "library_version": __version__,
+                    },
+                    "task": {
+                        "n": n,
+                        "seed": 2018,
+                        "periods": 2,
+                        "mode": "signed",
+                        "pruning": "on" if resolve_pruning(pruning, n) else "off",
+                    },
+                }
+                key = ResultCache.key_for(
+                    backend, n=n, seed=2018, periods=2,
+                    mode=DetectionMode.SIGNED, pruning=pruning,
+                )
+                assert key == fingerprint_of(record), (name, n)
+
     def test_key_separates_backend_configurations(self, cache):
         from repro.cuda.backend import CudaBackend
 
@@ -231,7 +264,7 @@ class TestTraceStore:
         trace = compute_trace(96, periods=2)
         store.put(trace.key(), trace)
         got = store.get(trace.key())
-        assert got.to_dict() == trace.to_dict()
+        assert got.to_bytes() == trace.to_bytes()
         assert (store.hits, store.misses, store.stores) == (1, 0, 1)
 
     def test_missing_and_corrupt_entries_are_counted_misses(self, store):
@@ -252,6 +285,27 @@ class TestTraceStore:
 
         assert f"v{TRACE_STORE_VERSION}" in str(store._path("ab" + "0" * 62))
 
+    def test_entry_is_the_trace_buffer(self, store):
+        from repro.core.trace import TRACE_MAGIC, compute_trace
+
+        trace = compute_trace(96, periods=2)
+        store.put(trace.key(), trace)
+        path = store._path(trace.key())
+        assert path.suffix == ".trace"
+        assert path.read_bytes() == trace.to_bytes()
+        assert path.read_bytes().startswith(TRACE_MAGIC)
+
+    def test_entry_under_another_key_is_quarantined(self, store):
+        from repro.core.trace import compute_trace
+
+        trace, other = compute_trace(64, periods=1), compute_trace(96, periods=1)
+        store.put(trace.key(), trace)
+        moved = store._path(other.key())
+        moved.parent.mkdir(parents=True, exist_ok=True)
+        store._path(trace.key()).rename(moved)
+        assert store.get(other.key()) is None
+        assert (store.misses, store.quarantined) == (1, 1)
+
     def test_stats_and_clear(self, store):
         from repro.core.trace import compute_trace
 
@@ -262,3 +316,38 @@ class TestTraceStore:
         assert s["entries"] == 2 and s["stores"] == 2 and s["bytes"] > 0
         assert store.clear() == 2
         assert store.stats()["entries"] == 0
+
+
+class TestClear:
+    """``atm-repro cache clear`` deletes the stores' entries and nothing
+    else under the cache dir: not the quarantine, not the journals."""
+
+    def test_clear_keeps_quarantine_and_journals(self, tmp_path, capsys):
+        from repro.core.trace import compute_trace
+        from repro.harness.cache import TraceStore
+        from repro.harness.cli import main
+
+        root = tmp_path / "cache"
+        cache, traces = ResultCache(root), TraceStore(root / "traces")
+        m = measure_platform("ap:staran", 96, periods=1, cache=False)
+        cache.put("ab" + "0" * 62, m)
+        trace = compute_trace(96, periods=1)
+        traces.put(trace.key(), trace)
+        stale = root / "traces" / "v2" / "ab" / ("ab" + "1" * 62 + ".json")
+        stale.parent.mkdir(parents=True)
+        stale.write_text("{}", encoding="utf-8")
+        kept = [
+            root / "quarantine" / ("cd" + "0" * 62 + ".json"),
+            root / "journal.jsonl",
+            root / "service-journal.jsonl",
+        ]
+        for path in kept:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text("kept\n", encoding="utf-8")
+        assert traces.stats()["entries"] == 2  # the stale v2 entry counts
+        assert main(["cache", "clear", "--cache-dir", str(root)]) == 0
+        assert "removed 1 cached cells and 2 stored traces" in capsys.readouterr().out
+        for path in kept:
+            assert path.read_text(encoding="utf-8") == "kept\n"
+        assert cache.stats()["entries"] == traces.stats()["entries"] == 0
+        assert cache.stats()["quarantine_files"] == 1

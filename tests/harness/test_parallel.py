@@ -247,6 +247,41 @@ class TestCliFlags:
         assert out1.read_bytes() == out2.read_bytes()
         capsys.readouterr()
 
+    def test_pooled_fig4_over_a_cache_dir_matches_serial(self, tmp_path, capsys):
+        """``report --only fig4 --jobs 2 --cache-dir D`` cold, warm, and
+        warm again with only the stored traces left (the pool ships them
+        as array buffers) is byte-identical to ``--jobs 1``."""
+        import shutil
+
+        from repro.harness.cli import main
+        from repro.harness.sweep import _TRACE_MEMO
+
+        def report(name, *flags):
+            # Each run starts without in-process traces, as a new
+            # process would, so the store is what serves them.
+            _TRACE_MEMO.clear()
+            out = tmp_path / f"{name}.json"
+            assert main(["report", "--only", "fig4", "--out", str(out), *flags]) == 0
+            return out.read_bytes()
+
+        cache_dir = tmp_path / "cache"
+        pooled = ("--jobs", "2", "--cache-dir", str(cache_dir))
+        serial = report("serial", "--jobs", "1")
+        cold = report("cold", *pooled)
+        warm = report("warm", *pooled)
+        shutil.rmtree(cache_dir / "v2")
+        capsys.readouterr()
+        metrics = tmp_path / "from-traces.prom"
+        from_traces = report("from-traces", *pooled, "--metrics-out", str(metrics))
+        assert cold == warm == from_traces == serial
+        assert "quarantined" not in capsys.readouterr().err
+        requests = [
+            line for line in metrics.read_text(encoding="utf-8").splitlines()
+            if line.startswith("atm_trace_requests")
+        ]
+        assert any('source="store"' in line for line in requests), requests
+        assert not any('source="pool"' in line for line in requests), requests
+
     def test_no_cache_flag(self, tmp_path, capsys):
         from repro.harness.cli import main
 

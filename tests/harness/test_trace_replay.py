@@ -83,11 +83,11 @@ class TestPerBackendEquivalence:
     @pytest.mark.parametrize("n,seed,mode", CELLS)
     def test_replay_is_byte_identical_to_direct(self, backend, n, seed, mode):
         direct = canon(direct_run(backend, n, seed=seed, periods=2, mode=mode))
-        # round-trip the trace through its JSON form on purpose: the
-        # pool and the on-disk store both hand backends deserialized
-        # payloads, so that is the representation that must be exact.
-        trace = FunctionalTrace.from_dict(
-            compute_trace(n, seed=seed, periods=2, mode=mode).to_dict()
+        # round-trip the trace through its array buffer on purpose: the
+        # pool and the on-disk store both hand backends decoded buffers,
+        # so that is the representation that must be exact.
+        trace = FunctionalTrace.from_bytes(
+            compute_trace(n, seed=seed, periods=2, mode=mode).to_bytes()
         )
         cell = dict(seed=seed, periods=2, mode=mode, cache=False)
         shared = measure_platform(backend, n, trace=trace, **cell)

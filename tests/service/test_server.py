@@ -402,3 +402,167 @@ class TestOneAdmissionPath:
         assert service._queue.empty() and service._inflight_cells == {}
         assert service.stats()["pending_cells"] == 0
         assert service.stats()["rejected"] == 1
+
+
+def _run_default_service(scenario, **config_kwargs):
+    """Run ``scenario(service)`` against a started service (no sockets),
+    configured with the defaults unless ``config_kwargs`` says otherwise."""
+
+    async def runner():
+        service = SweepService(ServiceConfig(**config_kwargs))
+        await service.start()
+        try:
+            return await scenario(service)
+        finally:
+            await service.stop()
+
+    return asyncio.run(runner())
+
+
+class TestBatchingByBacklog:
+    """With the default config, a free dispatch thread takes every queued
+    cell at once: no timer holds a cell, and the cells queued during a
+    dispatch form the next batch."""
+
+    def test_lone_cell_dispatches_before_a_25ms_timer(self):
+        """Both events are recorded on the event loop, so their order
+        does not depend on how fast the host is."""
+
+        async def scenario(service):
+            loop = asyncio.get_running_loop()
+            events = []
+            pool_submit = service._dispatch_pool.submit
+            enqueue = service._enqueue
+
+            def submit(fn, *args):
+                # run_in_executor submits from the event loop's thread.
+                events.append("dispatched")
+                return pool_submit(fn, *args)
+
+            def enqueue_with_timer(key, request):
+                loop.call_later(0.025, events.append, "timer")
+                return enqueue(key, request)
+
+            service._dispatch_pool.submit = submit
+            service._enqueue = enqueue_with_timer
+            await service.submit_cell(
+                CellRequest(platform="ap:staran", n=32, periods=1)
+            )
+            while "timer" not in events:
+                await asyncio.sleep(0.005)
+            return events
+
+        assert _run_default_service(scenario) == ["dispatched", "timer"]
+
+    def test_cells_queued_during_a_dispatch_form_the_next_batch(self):
+        async def scenario(service):
+            entered, release = threading.Event(), threading.Event()
+            batches = []
+            measure = service._measure_batch
+
+            def held(requests):
+                batches.append([r.n for r in requests])
+                if len(batches) == 1:
+                    entered.set()
+                    release.wait(timeout=30)
+                return measure(requests)
+
+            service._measure_batch = held
+            cells = [
+                CellRequest(platform="ap:staran", n=n, periods=1)
+                for n in (32, 64, 96, 128)
+            ]
+            first = asyncio.ensure_future(service.submit_cell(cells[0]))
+            loop = asyncio.get_running_loop()
+            assert await loop.run_in_executor(None, entered.wait, 30)
+            rest = [asyncio.ensure_future(service.submit_cell(c)) for c in cells[1:]]
+            await asyncio.sleep(0)
+            queued = service._queue.qsize()
+            release.set()
+            await asyncio.gather(first, *rest)
+            return queued, batches, service.stats()["batches"]
+
+        queued, batches, count = _run_default_service(scenario)
+        assert queued == 3
+        assert batches == [[32], [64, 96, 128]]
+        assert count == 2
+
+    def test_a_sweep_is_one_dispatch(self):
+        """5 platforms x 4 ns without a window: one _measure_batch call."""
+        platforms = (
+            "ap:staran",
+            "cuda:gtx-880m",
+            "simd:clearspeed-csx600",
+            "vector:avx512-16c",
+            "reference",
+        )
+
+        async def scenario(service):
+            calls = []
+            measure = service._measure_batch
+
+            def counted(requests):
+                calls.append(len(requests))
+                return measure(requests)
+
+            service._measure_batch = counted
+            source, measurements = await service.submit_sweep(
+                [
+                    CellRequest(platform=p, n=n, periods=1)
+                    for p in platforms
+                    for n in (32, 64, 96, 128)
+                ]
+            )
+            return calls, source, len(measurements)
+
+        assert _run_default_service(scenario) == ([20], "computed", 20)
+
+
+class TestRequestOutcomes:
+    def test_metric_help_names_exactly_the_recorded_outcomes(self):
+        """``atm_service_requests``'s help lists every ``outcome`` the
+        server and the load generator record, and nothing else."""
+        import re
+
+        from repro.obs.metrics import DECLARATIONS
+        from repro.service.loadgen import _outcome_for
+
+        cell = {"platform": "ap:staran", "n": 32, "periods": 1}
+
+        async def scenario(service):
+            async def post(obj, endpoint="/v1/cell"):
+                body = obj if isinstance(obj, bytes) else json.dumps(obj).encode()
+                status, *_ = await service._handle_measurement(endpoint, body)
+                return status
+
+            statuses = [
+                await post(cell),
+                await post(b"{not json"),
+                await post({**cell, "n": 64, "deadline_s": 1e-6}),
+            ]
+            service.admission.max_queue_cells = 1
+            sweep = {"platforms": ["ap:staran"], "ns": [8, 16], "periods": 1}
+            statuses.append(await post(sweep, "/v1/sweep"))
+            service.admission.max_queue_cells = 1024
+
+            def fail(requests):
+                raise RuntimeError("dispatch failed")
+
+            service._measure_batch = fail
+            statuses.append(await post({**cell, "n": 96}))
+            service.admission.set_draining(True)
+            statuses.append(await post({**cell, "n": 128}))
+            series = service.registry.snapshot()["families"]["atm_service_requests"]
+            return statuses, {s["labels"]["outcome"] for s in series["series"]}
+
+        statuses, server_outcomes = _run_default_service(scenario)
+        assert statuses == [200, 400, 429, 503, 500, 503]
+        draining = payload_bytes({"outcome": "rejected_draining"})
+        client_outcomes = {
+            _outcome_for(status, payload)
+            for status in (200, 400, 429, 500, 503, 504)
+            for payload in (b"", draining)
+        }
+        help_text = DECLARATIONS["atm_service_requests"].help
+        listed = set(re.search(r"outcome \(([^)]*)\)", help_text).group(1).split("|"))
+        assert listed == server_outcomes | client_outcomes

@@ -23,11 +23,11 @@ must not fall more than ``max_regression`` (default 25%) below the
 committed baseline's.  See docs/performance.md and ``make bench-smoke``.
 
 ``run_bench_large`` is the continental-scale profile: a calibration
-stage times the unpruned O(n²) functional pass (``pruning="off"``, the
-record's ``brute``) against the sweepline pruner on the same fleet (and
-checks the two traces are functionally identical), then a single pruned
-pass at ``n`` (default 10⁶) drives the paper's five-platform deadline
-table.  ``large_bench_table`` projects
+stage times the gated in-place functional pass (``pruning="off"``, the
+record's ``brute`` keys) against the sweepline pruner on the same fleet
+(and checks the two traces are functionally identical), then a single
+pruned pass at ``n`` (default 10⁶) drives the paper's five-platform
+deadline table.  ``large_bench_table`` projects
 the record onto its deterministic, wall-free subset — modelled task
 times and deadline margins only — so CI can run the profile twice and
 ``cmp`` the tables byte for byte.  See docs/performance.md ("Large-n
@@ -254,10 +254,11 @@ def run_bench_large(
 
     Two stages:
 
-    * **calibration** — the unpruned O(n²) functional pass (the
-      altitude gate over every pair) and the sweepline-pruned pass both
-      run once at ``calibration_n`` (large enough for the asymptotics to
-      show, small enough for the unpruned pass to finish).  Their wall
+    * **calibration** — the gated in-place functional pass (the
+      altitude gate over every pair, the rest only on the pairs it
+      keeps) and the sweepline-pruned pass both run once at
+      ``calibration_n`` (large enough for the asymptotics to show, small
+      enough for the O(n²) gate to finish).  Their wall
       times give the pruning speedup, and their traces must be
       functionally identical (``equivalent``).
     * **large** — one pruned five-platform sweep at ``n`` produces the
@@ -282,7 +283,7 @@ def run_bench_large(
     n = int(n)
     calibration_n = int(calibration_n)
 
-    # --- calibration: unpruned O(n²) vs sweepline-pruned, same fleet --
+    # --- calibration: gated in place vs sweepline-pruned, same fleet --
     t0 = time.perf_counter()
     brute = compute_trace(
         calibration_n, seed=seed, periods=periods, mode=mode, pruning="off"
@@ -397,7 +398,7 @@ def render_bench_large(result: Dict[str, Any]) -> str:
         f"large-n bench — n={cfg['n']:,}, {len(cfg['platforms'])} platforms, "
         f"periods={cfg['periods']}, seed={cfg['seed']}, pruning={cfg['pruning']}",
         f"  calibration (n={cfg['calibration_n']:,})  "
-        f"brute {cal['brute_wall_s']:.2f} s, pruned {cal['pruned_wall_s']:.2f} s "
+        f"gated {cal['brute_wall_s']:.2f} s, pruned {cal['pruned_wall_s']:.2f} s "
         f"-> {cal['speedup']:.2f}x",
         f"  large sweep               {result['large']['wall_s']:.2f} s wall",
         f"  {'platform':<24s} {'task1 max':>10s} {'task2+3':>10s} "
@@ -420,7 +421,7 @@ def render_bench_large(result: Dict[str, Any]) -> str:
     )
     lines.append(
         "  equivalence  "
-        + ("pruned trace functionally identical to the unpruned one"
+        + ("pruned trace functionally identical to the gated in-place one"
            if result["equivalent"] else "FAILED")
     )
     return "\n".join(lines)

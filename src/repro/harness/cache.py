@@ -215,6 +215,11 @@ class _ChecksumStore:
         self._count("hit")
         return value
 
+    def __contains__(self, key: str) -> bool:
+        """Whether an entry file exists under ``key``: a plain stat,
+        neither verified nor counted."""
+        return self._path(key).is_file()
+
     def put(self, key: str, value: Any) -> None:
         """Store ``value`` under ``key`` (atomic, checksummed write)."""
         path = self._path(key)

@@ -52,7 +52,6 @@ report flags:
                        cache at DIR (created on first use; default
                        .atm-repro-cache); functional traces get their own
                        tier at DIR/traces
-  --no-cache           measure everything fresh, ignoring the cache
   --no-trace-replay    disable the shared functional-trace engine: every
                        cell replays its cost ledgers from a private
                        functional pass of its own instead of a trace shared
@@ -69,11 +68,12 @@ fault tolerance (docs/robustness.md):
                        e.g. "crash=0.3,timeout=0.2,seed=7"; whenever
                        retries succeed the report bytes are identical to
                        a fault-free run
-  --shard-timeout S    per-shard deadline (seconds) when collecting pool
-                       results; timed-out shards retry, then degrade to
-                       inline execution
-  --max-retries N      attempts per shard and pool rebuilds tolerated
-                       before degrading to inline execution (default 3)
+  --shard-timeout S    deadline (seconds) of one pool try, a cell or a
+                       trace prefetch; a timed-out try is retried, and
+                       the parent runs what the pool gives up on
+  --max-retries N      tries of a cell or trace prefetch on the pool,
+                       then again in the parent; also the pool breaks
+                       one sweep tolerates (default 3)
 
 benchmarking:
   atm-repro bench [--out FILE] [--full] [--baseline FILE]
@@ -82,12 +82,13 @@ benchmarking:
   --baseline it exits non-zero when the speedup regresses >25%%.
 
   atm-repro bench --large [--large-n N] [--table-out FILE]
-  the continental-scale profile: times the unpruned O(n^2) functional
-  pass against the sweepline pruner (and checks the traces are
-  functionally identical), then runs one pruned five-platform sweep at
-  N (default 1,000,000) and writes the deadline table plus peak-memory
-  figures to BENCH_large_n.json.  --table-out writes the deterministic
-  wall-free table CI byte-compares.  See docs/performance.md.
+  the continental-scale profile: times the gated in-place functional
+  pass (pruning off) against the sweepline pruner (and checks the
+  traces are functionally identical), then runs one pruned
+  five-platform sweep at N (default 1,000,000) and writes the deadline
+  table plus peak-memory figures to BENCH_large_n.json.  --table-out
+  writes the deterministic wall-free table CI byte-compares.  See
+  docs/performance.md.
 
   The 'report' command accepts --pruning=auto|on|off; its bytes are
   identical for every setting (the pruner is proven bit-identical).
@@ -205,11 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="memoize measurement cells in the result cache at DIR",
     )
     report.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore the result cache even when --cache-dir is set",
-    )
-    report.add_argument(
         "--no-trace-replay",
         action="store_true",
         help="replay every cell from a private functional pass instead of"
@@ -233,15 +229,15 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="S",
-        help="per-shard deadline in seconds when collecting pool results",
+        help="deadline in seconds of one pool try (a cell or a trace prefetch)",
     )
     report.add_argument(
         "--max-retries",
         type=int,
         default=3,
         metavar="N",
-        help="attempts per shard before degrading to inline execution"
-        " (default 3)",
+        help="tries per cell or trace prefetch where it runs, pool then"
+        " parent (default 3)",
     )
     report.add_argument(
         "--metrics-out",
@@ -420,11 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="DIR",
         help="memoize candidate sweep cells in the result cache at DIR",
-    )
-    search.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore the result cache even when --cache-dir is set",
     )
     search.add_argument(
         "--resume",
@@ -832,15 +823,14 @@ def main(argv: Optional[List[str]] = None) -> int:
                 compare_paper=not args.no_compare_paper,
             )
         cache = traces = journal = None
-        if args.resume and (not args.cache_dir or args.no_cache):
+        if args.resume and not args.cache_dir:
             print(
                 "--resume needs --cache-dir (the journal lives at"
-                " <cache-dir>/journal.jsonl) and is incompatible with"
-                " --no-cache",
+                " <cache-dir>/journal.jsonl)",
                 file=sys.stderr,
             )
             return 2
-        if args.cache_dir and not args.no_cache:
+        if args.cache_dir:
             from ..service.journal import RequestJournal
 
             cache = ResultCache(args.cache_dir)
@@ -880,22 +870,21 @@ def main(argv: Optional[List[str]] = None) -> int:
         from pathlib import Path
 
         from ..obs.metrics import MetricsRegistry, to_openmetrics
-        from .cache import ResultCache, TraceStore
+        from .cache import QUARANTINE_DIR, ResultCache, TraceStore
         from .faults import RetryPolicy, parse_fault_spec
         from .report import build_report, render_report, write_report
 
         cache = None
         traces = None
         journal = None
-        if args.resume and (not args.cache_dir or args.no_cache):
+        if args.resume and not args.cache_dir:
             print(
                 "--resume needs --cache-dir (the journal lives at"
-                " <cache-dir>/journal.jsonl) and is incompatible with"
-                " --no-cache",
+                " <cache-dir>/journal.jsonl)",
                 file=sys.stderr,
             )
             return 2
-        if args.cache_dir and not args.no_cache:
+        if args.cache_dir:
             # Only a cache dir pays for importing the service package.
             from ..service.journal import RequestJournal
 
@@ -953,15 +942,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"{s['stores']} stored, {s['entries']} entries on disk",
                 file=sys.stderr,
             )
-            quarantined = s["quarantined"] + (
-                traces.stats()["quarantined"] if traces is not None else 0
-            )
-            if quarantined:
-                print(
-                    f"integrity: {quarantined} corrupt entries quarantined "
-                    f"under {s['root']}/quarantine",
-                    file=sys.stderr,
-                )
+            for store in (cache, traces):
+                if store.quarantined:
+                    print(
+                        f"integrity: {store.quarantined} corrupt entries "
+                        f"quarantined under {store.root / QUARANTINE_DIR}",
+                        file=sys.stderr,
+                    )
         if journal is not None:
             js = journal.stats()
             print(
@@ -1012,7 +999,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(render_bench_large(result))
             if not result["equivalent"]:
                 print(
-                    "FAIL: pruned trace differs from the unpruned one",
+                    "FAIL: pruned trace differs from the gated in-place one",
                     file=sys.stderr,
                 )
                 return 1

@@ -19,8 +19,8 @@ story the modelled machines get:
   / ``corrupt-journal`` (:data:`SERVICE_FAULT_KINDS`), realised by
   ``atm-repro serve --inject-faults`` instead of the sweep engine.
 * :class:`RetryPolicy` — bounded retries with a deterministic
-  exponential backoff and an optional per-shard timeout, consulted by
-  :func:`repro.harness.parallel.measure_cells`.
+  exponential backoff and an optional per-try timeout, consulted by
+  the one attempt loop of :func:`repro.harness.parallel.measure_cells`.
 * the journal line helpers — self-verifying, fsynced JSONL lines — of
   the one checkpoint journal,
   :class:`~repro.service.journal.RequestJournal`.  After a crash or
@@ -43,7 +43,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Union
+from typing import Any, Dict, Mapping, Optional, Sequence, Union
 
 from ..core.canonical import fingerprint_of
 from ..obs import span as obs_span
@@ -108,7 +108,7 @@ def fault_span(kind: str, **attrs: Any) -> None:
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """How the executor reacts when a shard fails.
+    """How the sweep engine's attempt loop reacts when a unit fails.
 
     Backoff is deterministic on purpose — ``backoff_s * 2**attempt``
     with no jitter — so two runs of the same chaos plan retry on the
@@ -116,11 +116,13 @@ class RetryPolicy:
     path.
     """
 
-    #: total tries per shard (1 = no retries).
+    #: tries per unit where it runs — on the pool, then in the parent
+    #: if the pool gives up on it; also how often one sweep's pool may
+    #: break before the parent runs every unit left.
     max_attempts: int = 3
     #: base of the exponential backoff slept before each retry.
     backoff_s: float = 0.05
-    #: per-shard deadline when collecting pool results; None waits
+    #: deadline of one pool try, trace prefetch or cell; None waits
     #: forever (timeouts then only arise from injected hangs in tests).
     timeout_s: Optional[float] = None
 
@@ -213,13 +215,15 @@ class FaultPlan:
             return True
         return _draw(self.seed, kind, key, attempt) < rate
 
-    def worker_fault(self, key: str, attempt: int) -> Optional[str]:
+    def worker_fault(
+        self, key: str, attempt: int, kinds: Sequence[str] = WORKER_FAULT_KINDS
+    ) -> Optional[str]:
         """The fault directive to ship to a pool worker, or None.
 
-        Probed in :data:`WORKER_FAULT_KINDS` order so at most one fault
-        fires per attempt.
+        Probes ``kinds`` (by default every :data:`WORKER_FAULT_KINDS`)
+        in order, so at most one fault fires per attempt.
         """
-        for kind in WORKER_FAULT_KINDS:
+        for kind in kinds:
             if self.should_inject(kind, key, attempt):
                 return kind
         return None

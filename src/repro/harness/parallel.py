@@ -13,27 +13,30 @@ engine behind ``sweep(..., jobs=N)``:
   resumed checkpoint journal — are served in the parent process
   without touching a cost model, and every fresh cell is committed to
   the same store;
-* remaining shards run on a ``ProcessPoolExecutor`` when ``jobs > 1``
-  (registry-name specs only — live :class:`~repro.backends.base.Backend`
-  *instances* may carry state, so they always run in the parent, in
-  submission order);
+* remaining shards run on a ``ProcessPoolExecutor`` when ``jobs > 1``,
+  after the pool has computed each distinct fleet size's functional
+  trace once (registry-name specs only — live
+  :class:`~repro.backends.base.Backend` *instances* may carry state, so
+  they always run in the parent, in matrix order);
 * results are merged **by matrix position, never by completion order**,
   so the assembled :class:`~repro.harness.sweep.SweepData` is
   byte-identical for any worker count — the parallel-determinism tests
   assert exactly that.
 
-**Fault tolerance.**  The executor survives dying workers, hung shards
-and transient I/O errors (docs/robustness.md): a failed shard retries
-under the ambient :class:`~repro.harness.faults.RetryPolicy` with
-deterministic backoff; a crashed worker breaks the whole
-``ProcessPoolExecutor``, so the pool is rebuilt (bounded times) and the
-uncollected shards resubmitted; when the rebuild budget is exhausted —
-a worker that dies repeatedly — the remaining shards degrade to inline
-execution in the parent.  Because every cell is a pure function of its
-arguments, **any path that eventually completes produces the same
-bytes**, so the determinism contract extends across the fault paths.
-Faults can be injected deterministically for tests and chaos runs via
-``sweep_options(faults=FaultPlan(...))`` or
+**Fault tolerance.**  Every unit of work — a cell, or the trace
+prefetch of one fleet size — runs through one attempt loop under the
+ambient :class:`~repro.harness.faults.RetryPolicy` (docs/robustness.md).
+A try on the pool may time out, crash its worker or raise an
+``OSError``; each failure is counted, then retried after a
+deterministic backoff.  A crashed worker breaks the whole
+``ProcessPoolExecutor``, so the pool is rebuilt (one bounded budget per
+sweep) and every uncollected unit resubmitted.  When the pool gives up
+on a unit — its tries are spent, or so is the rebuild budget — the
+loop's last step runs it in the parent.  Because every cell is a pure
+function of its arguments, **any path that eventually completes
+produces the same bytes**, so the determinism contract extends across
+the fault paths.  Faults can be injected deterministically for tests
+and chaos runs via ``sweep_options(faults=FaultPlan(...))`` or
 ``atm-repro report --inject-faults SPEC``.
 
 Every shard emits one ``harness.shard`` span (category ``harness``) on
@@ -48,14 +51,17 @@ docs/parallel-and-caching.md.
 
 from __future__ import annotations
 
+import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import ExitStack, contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from ..analysis.deadlines import record_cell_metrics
 from ..obs import SpanRecord
@@ -64,7 +70,7 @@ from ..obs import is_active as obs_is_active
 from ..obs import span as obs_span
 from ..obs.metrics import get_registry, metric_inc
 from .cache import CellStore, ResultCache, TraceStore
-from .faults import FaultPlan, RetryPolicy, fault_span
+from .faults import WORKER_FAULT_KINDS, FaultPlan, RetryPolicy, fault_span
 
 if TYPE_CHECKING:  # pragma: no cover - the service package is imported lazily
     from ..service.journal import RequestJournal
@@ -179,27 +185,30 @@ def sweep_options(
 
 
 # ---------------------------------------------------------------------------
-# the shard worker (runs in pool processes; must stay module-level picklable)
+# the pool workers (run in pool processes; must stay module-level picklable)
 # ---------------------------------------------------------------------------
 
 
-def _obey_fault_directive(inject: Optional[Tuple[str, float]]) -> None:
-    """Realise a parent-issued fault directive inside a worker process.
+def _in_worker(
+    inject: Optional[Tuple[str, float]], fn: Callable[..., Any], *args: Any
+) -> Any:
+    """Obey a parent-issued fault directive, then return ``fn(*args)``.
 
     The parent's FaultPlan makes every decision; the worker just obeys,
-    so shard results stay pure functions of the argument tuple.
+    so results stay pure functions of the argument tuple.  ``inject`` is
+    ``(kind, param)`` or None: ``crash`` kills this process, ``timeout``
+    sleeps ``param`` seconds (then proceeds normally), ``oserror``
+    raises a transient ``OSError``.
     """
-    if inject is None:
-        return
-    kind, param = inject
-    if kind == "crash":
-        import os as _os
-
-        _os._exit(3)
-    elif kind == "timeout":
-        time.sleep(param)
-    elif kind == "oserror":
-        raise OSError("injected transient fault")
+    if inject is not None:
+        kind, param = inject
+        if kind == "crash":
+            os._exit(3)
+        elif kind == "timeout":
+            time.sleep(param)
+        elif kind == "oserror":
+            raise OSError("injected transient fault")
+    return fn(*args)
 
 
 def _measure_shard(
@@ -209,7 +218,6 @@ def _measure_shard(
     periods: int,
     mode_value: str,
     trace_payload: Optional[bytes] = None,
-    inject: Optional[Tuple[str, float]] = None,
     collect: bool = False,
     pruning: str = "auto",
     metrics: bool = False,
@@ -232,11 +240,6 @@ def _measure_shard(
     pass under ``pruning``.  Workers never consult ambient policy, so
     shard results are pure functions of the argument tuple.
 
-    ``inject`` is a parent-issued chaos directive ``(kind, param)``
-    realised before any work happens: ``crash`` kills this process,
-    ``timeout`` sleeps ``param`` seconds (then proceeds normally),
-    ``oserror`` raises a transient ``OSError``.
-
     ``collect=True`` runs the cell under a private in-worker collector
     and returns its ``{spans, events}`` under ``"obs"`` (else None), so
     the parent can adopt the worker's task/kernel spans under its shard
@@ -246,7 +249,6 @@ def _measure_shard(
     without the deterministic families: the parent records each pool
     cell's deadline series itself, in ``_emit_shard``.
     """
-    _obey_fault_directive(inject)
     from ..core.collision import DetectionMode
     from ..core.trace import FunctionalTrace
     from ..obs import Collector, collecting
@@ -404,41 +406,158 @@ def _probe_stores(
     return key, hit
 
 
-def _shard_id(platform: str, n: int) -> str:
-    """Stable identity of one cell for fault-plan decisions."""
-    return f"{platform}@{n}"
-
-
 class _PoolBox:
     """A ProcessPoolExecutor plus its bounded rebuild budget.
 
     A crashed worker breaks the *whole* pool (``BrokenProcessPool``
     fails every outstanding future), so recovery means building a fresh
-    pool and resubmitting the uncollected shards.  The budget bounds
-    how often that is worth doing before the executor gives up on pool
-    execution entirely and degrades to inline.
+    pool and resubmitting the uncollected units.  The budget, one per
+    sweep, bounds how often that is worth doing; once it is spent
+    ``pool`` is None and every unit left runs in the parent.
     """
 
     def __init__(self, jobs: int, rebuild_budget: int) -> None:
         self.jobs = jobs
         self.rebuild_budget = max(1, int(rebuild_budget))
         self.rebuilds = 0
-        self.pool = ProcessPoolExecutor(max_workers=jobs)
+        self.pool: Optional[ProcessPoolExecutor] = ProcessPoolExecutor(
+            max_workers=jobs
+        )
 
-    def rebuild(self) -> bool:
-        """Replace a broken pool; False when the budget is exhausted."""
+    def rebuild(self) -> None:
+        """Replace the broken pool, or drop it once the budget is spent."""
         self.pool.shutdown(wait=False, cancel_futures=True)
         self.rebuilds += 1
-        if self.rebuilds >= self.rebuild_budget:
-            return False
-        self.pool = ProcessPoolExecutor(max_workers=self.jobs)
-        return True
+        self.pool = (
+            ProcessPoolExecutor(max_workers=self.jobs)
+            if self.rebuilds < self.rebuild_budget
+            else None
+        )
 
     def shutdown(self) -> None:
-        self.pool.shutdown(wait=True)
+        if self.pool is not None:
+            self.pool.shutdown(wait=True)
 
 
-def _pool_trace_payloads(
+#: The FaultPlan kinds a trace prefetch draws: the faults of the worker
+#: process itself.  ``oserror`` stands for a transient I/O error of one
+#: cell's measurement, so only cells draw it.
+_PREFETCH_FAULT_KINDS = ("crash", "timeout")
+
+#: One unit of work of the attempt loop: its FaultPlan id, its
+#: ``harness.fault`` span attributes, and its pool task ``(fn, *args)``
+#: — None for a unit that runs in the parent only.
+_Unit = Tuple[str, Dict[str, Any], Optional[tuple]]
+
+
+def _attempt(
+    units: Sequence[_Unit],
+    box: Optional[_PoolBox],
+    kinds: Sequence[str],
+    in_parent: Callable[[int], Any],
+    commit: Callable[[int, Any, bool], None],
+) -> None:
+    """Run every unit to completion, in order: the engine's one attempt loop.
+
+    Every unit with a pool task is submitted up front, and units are
+    collected in order.  Each pool try draws its FaultPlan directive
+    over ``kinds`` under the unit's id, and may time out (the ambient
+    ``RetryPolicy.timeout_s``), crash the pool — which is rebuilt
+    within its budget, every uncollected unit resubmitted — or raise an
+    ``OSError``.  Each failure is one ``harness.fault`` span; each retry
+    sleeps the deterministic backoff and counts
+    ``atm_faults{kind="retries"}``.  When the pool gives up on a unit,
+    after ``max_attempts`` tries or once the rebuild budget is spent,
+    the unit runs in the parent with tries of its own: the loop's last
+    step, and the only one of a unit without a pool task.  There only an
+    ``OSError`` can fail a try (an injected one when ``kinds`` holds
+    ``oserror``), and one on the last try aborts the sweep.
+
+    ``in_parent(k)`` runs unit ``k`` in this process and returns its
+    value; ``commit(k, value, pooled)`` takes a finished unit's value,
+    ``pooled`` saying whether a worker produced it.
+    """
+    opts = current_options()
+    retry, plan = opts.retry, opts.faults
+    attempts = [0] * len(units)
+    #: each unit's outstanding pool future; None runs it in the parent.
+    futures: List[Any] = [None] * len(units)
+
+    def degrade(k: int) -> None:
+        fault_span("degraded-to-inline", **units[k][1])
+        futures[k] = None
+        attempts[k] = 0
+
+    def submit(k: int) -> None:
+        if box.pool is None:
+            return degrade(k)
+        sid, _, task = units[k]
+        inject = None
+        if plan is not None:
+            kind = plan.worker_fault(sid, attempts[k], kinds)
+            if kind is not None:
+                metric_inc("atm_faults", kind="injected")
+                inject = (kind, plan.hang_s)
+        try:
+            futures[k] = box.pool.submit(_in_worker, inject, *task)
+        except BrokenProcessPool as exc:
+            # A worker died since the last collection: the unit meets
+            # the break when its turn comes, as its future would have.
+            futures[k] = Future()
+            futures[k].set_exception(exc)
+
+    for k, (_, _, task) in enumerate(units):
+        if box is not None and task is not None:
+            submit(k)
+    for k, (sid, attrs, _) in enumerate(units):
+        while True:
+            future = futures[k]
+            try:
+                if future is not None:
+                    value = future.result(timeout=retry.timeout_s)
+                else:
+                    # Chaos in the parent is limited to transient
+                    # OSErrors: a crash would kill the parent itself,
+                    # and a hang cannot be preempted in-process.
+                    if (
+                        plan is not None
+                        and "oserror" in kinds
+                        and plan.should_inject("oserror", sid, attempts[k])
+                    ):
+                        metric_inc("atm_faults", kind="injected")
+                        raise OSError("injected transient fault")
+                    value = in_parent(k)
+                break
+            except (FuturesTimeout, BrokenProcessPool, OSError) as exc:
+                kind = "os-error"
+                if future is not None and isinstance(exc, FuturesTimeout):
+                    kind = "timeout"
+                elif future is not None and isinstance(exc, BrokenProcessPool):
+                    kind = "worker-crash"
+                fault_span(kind, attempt=attempts[k], error=str(exc), **attrs)
+                if future is None and attempts[k] + 1 >= retry.max_attempts:
+                    raise
+            attempts[k] += 1
+            if kind == "worker-crash":
+                box.rebuild()
+            if future is not None and (
+                box.pool is None or attempts[k] >= retry.max_attempts
+            ):
+                degrade(k)
+            else:
+                metric_inc("atm_faults", kind="retries")
+                time.sleep(retry.backoff_for(attempts[k] - 1))
+                if future is not None:
+                    submit(k)
+            if kind == "worker-crash":
+                # Every uncollected future died with the old pool.
+                for later in range(k + 1, len(units)):
+                    if futures[later] is not None:
+                        submit(later)
+        commit(k, value, future is not None)
+
+
+def _prefetch_traces(
     box: _PoolBox,
     wanted_ns: List[int],
     *,
@@ -447,241 +566,65 @@ def _pool_trace_payloads(
     mode: Any,
     mode_value: str,
     jobs: int,
-    opts: SweepOptions,
 ) -> Dict[int, bytes]:
     """Each distinct fleet size's functional trace, computed once, as
-    the array buffer every shard of that size is shipped.
+    the array buffer every pool cell of that size is shipped.
 
-    Sharded across the pool; a pool failure here falls back to an
-    inline functional pass (counted), never aborts the sweep.  Cells
-    whose trace would exceed the budget's shipping bound get no payload
-    — each worker streams its own (pruned) pass rather than receive a
-    multi-GB buffer.
+    A trace the memo or the ``TraceStore`` holds is served from there;
+    each other one is a unit of the attempt loop (fault id
+    ``trace@<n>``), computed on the pool, or by
+    :func:`~repro.harness.sweep._obtain_trace` in the parent if the pool
+    gives up on it.  A fleet size whose trace would exceed the budget's
+    shipping bound gets no payload — each worker streams its own
+    (pruned) pass rather than receive a multi-GB buffer.
     """
-    from ..core.trace import (
-        DEFAULT_TRACE_BUDGET,
-        FunctionalTrace,
-        compute_trace,
-        estimate_trace_bytes,
-    )
-    from .sweep import _lookup_trace, _remember_trace
+    from ..core.trace import DEFAULT_TRACE_BUDGET, FunctionalTrace, estimate_trace_bytes
+    from .sweep import _lookup_trace, _obtain_trace, _remember_trace
 
+    opts = current_options()
     budget = opts.trace_budget or DEFAULT_TRACE_BUDGET
-    payload_by_n: Dict[int, bytes] = {}
+    cell = dict(
+        seed=seed, periods=periods, mode=mode, traces=opts.traces,
+        pruning=opts.pruning, budget=budget,
+    )
+    payloads: Dict[int, bytes] = {}
     missing: List[int] = []
-    for n_val in wanted_ns:
-        if not budget.allows_payload(estimate_trace_bytes(n_val, periods)):
-            continue
-        t = _lookup_trace(
-            n_val,
-            seed=seed,
-            periods=periods,
-            mode=mode,
-            traces=opts.traces,
-            pruning=opts.pruning,
-        )
-        if t is not None:
-            payload_by_n[n_val] = t.to_bytes()
-        else:
-            missing.append(n_val)
-    trace_futures = [
-        (
-            n_val,
-            box.pool.submit(
-                _compute_trace_shard,
-                n_val,
-                seed,
-                periods,
-                mode_value,
-                opts.pruning,
-            ),
-        )
-        for n_val in missing
-    ]
-    broken = False
-    for n_val, future in trace_futures:
-        source = "pool"
-        if broken:
-            payload = None
-        else:
-            try:
-                payload = future.result()
-            except (BrokenProcessPool, OSError):
-                fault_span("worker-crash", stage="trace", n_aircraft=n_val)
-                broken = True
-                payload = None
-        if payload is None:
-            fault_span("degraded-to-inline", stage="trace", n_aircraft=n_val)
-            source = "compute"
-            payload = compute_trace(
-                n_val,
-                seed=seed,
-                periods=periods,
-                mode=mode,
-                pruning=opts.pruning,
-            ).to_bytes()
-        with obs_span(
-            "harness.trace",
-            cat="harness",
-            n_aircraft=n_val,
-            source=source,
-            jobs=jobs,
-        ):
-            pass
-        metric_inc("atm_trace_requests", source=source)
-        payload_by_n[n_val] = payload
-        _remember_trace(
-            FunctionalTrace.from_bytes(payload), opts.traces, budget=budget
-        )
-    if broken and not box.rebuild():
-        raise _PoolGone
-    return payload_by_n
+    for n in wanted_ns:
+        if budget.allows_payload(estimate_trace_bytes(n, periods)):
+            trace = _lookup_trace(n, **cell)
+            if trace is None:
+                missing.append(n)
+            else:
+                payloads[n] = trace.to_bytes()
 
-
-class _PoolGone(Exception):
-    """Internal: the pool rebuild budget is exhausted; degrade to inline."""
-
-
-def _execute_pool_shards(
-    poolable: List[Tuple[int, int, Any, Optional[str]]],
-    names: List[str],
-    ns: Sequence[int],
-    rows: List[List[Any]],
-    *,
-    seed: int,
-    periods: int,
-    mode: Any,
-    mode_value: str,
-    jobs: int,
-    store: CellStore,
-    opts: SweepOptions,
-) -> List[Tuple[int, int, Any, Optional[str]]]:
-    """Run the poolable shards; return the ones degraded to inline.
-
-    Results are collected **in submission order** (never completion
-    order) and written straight into ``rows`` by matrix position.  A
-    shard that exhausts its retry budget — or outlives the pool rebuild
-    budget — is handed back for inline execution instead of aborting
-    the sweep.
-    """
-    from .sweep import PlatformMeasurement
-
-    retry = opts.retry
-    plan = opts.faults
-    box = _PoolBox(min(jobs, len(poolable)), rebuild_budget=retry.max_attempts)
-    degraded: List[Tuple[int, int, Any, Optional[str]]] = []
-    try:
-        payload_by_n: Dict[int, bytes] = {}
-        if opts.trace:
-            try:
-                payload_by_n = _pool_trace_payloads(
-                    box,
-                    sorted({ns[j] for (_, j, _, _) in poolable}),
-                    seed=seed,
-                    periods=periods,
-                    mode=mode,
-                    mode_value=mode_value,
-                    jobs=jobs,
-                    opts=opts,
-                )
-            except _PoolGone:
-                for shard in poolable:
-                    fault_span(
-                        "degraded-to-inline",
-                        platform=names[shard[0]], n_aircraft=ns[shard[1]],
-                    )
-                return poolable
-
-        attempts = [0] * len(poolable)
-        # Ship worker traces home only when someone is listening.
-        collect = obs_is_active()
-        registry = get_registry()
-
-        def submit(idx: int):
-            i, j, spec, _ = poolable[idx]
-            inject = None
-            if plan is not None:
-                kind = plan.worker_fault(_shard_id(names[i], ns[j]), attempts[idx])
-                if kind is not None:
-                    metric_inc("atm_faults", kind="injected")
-                    inject = (kind, plan.hang_s)
-            return box.pool.submit(
-                _measure_shard,
-                spec,
-                ns[j],
-                seed,
-                periods,
-                mode_value,
-                payload_by_n.get(ns[j]),
-                inject,
-                collect,
-                opts.pruning,
-                registry is not None,
+    def commit(k: int, payload: bytes, pooled: bool) -> None:
+        n = missing[k]
+        if pooled:
+            with obs_span(
+                "harness.trace", cat="harness", n_aircraft=n, source="pool", jobs=jobs
+            ):
+                pass
+            metric_inc("atm_trace_requests", source="pool")
+            _remember_trace(
+                FunctionalTrace.from_bytes(payload), opts.traces, budget=budget
             )
+        payloads[n] = payload
 
-        futures = [submit(idx) for idx in range(len(poolable))]
-
-        for idx in range(len(poolable)):
-            i, j, spec, key = poolable[idx]
-            shard_attrs = dict(platform=names[i], n_aircraft=ns[j])
-            result: Optional[Dict[str, Any]] = None
-            while result is None:
-                try:
-                    result = futures[idx].result(timeout=retry.timeout_s)
-                except FuturesTimeout:
-                    fault_span("timeout", attempt=attempts[idx], **shard_attrs)
-                except BrokenProcessPool:
-                    fault_span(
-                        "worker-crash", attempt=attempts[idx], **shard_attrs
-                    )
-                    if not box.rebuild():
-                        # The pool keeps dying: run everything still
-                        # uncollected in the parent instead.
-                        remaining = poolable[idx:]
-                        for shard in remaining:
-                            fault_span(
-                                "degraded-to-inline",
-                                platform=names[shard[0]],
-                                n_aircraft=ns[shard[1]],
-                            )
-                        degraded.extend(remaining)
-                        return degraded
-                    # Fresh pool: resubmit every uncollected shard (their
-                    # futures died with the old pool).
-                    attempts[idx] += 1
-                    metric_inc("atm_faults", kind="retries")
-                    time.sleep(retry.backoff_for(attempts[idx] - 1))
-                    for k in range(idx, len(poolable)):
-                        futures[k] = submit(k)
-                    continue
-                except OSError as exc:
-                    fault_span(
-                        "os-error",
-                        attempt=attempts[idx], error=str(exc), **shard_attrs,
-                    )
-                else:
-                    continue
-                # timeout or transient OSError: retry this shard alone.
-                attempts[idx] += 1
-                if attempts[idx] >= retry.max_attempts:
-                    fault_span("degraded-to-inline", **shard_attrs)
-                    degraded.append(poolable[idx])
-                    break
-                metric_inc("atm_faults", kind="retries")
-                time.sleep(retry.backoff_for(attempts[idx] - 1))
-                futures[idx] = submit(idx)
-            if result is None:
-                continue  # degraded; the inline loop finishes it
-            m = PlatformMeasurement.from_dict(result["measurement"])
-            _emit_shard(names[i], ns[j], "pool", jobs, m, worker_obs=result["obs"])
-            if result["metrics"] is not None:
-                registry.load_snapshot(result["metrics"])
-            rows[i][j] = m
-            if key is not None:
-                store.put(key, m)
-    finally:
-        box.shutdown()
-    return degraded
+    _attempt(
+        [
+            (
+                f"trace@{n}",
+                dict(stage="trace", n_aircraft=n),
+                (_compute_trace_shard, n, seed, periods, mode_value, opts.pruning),
+            )
+            for n in missing
+        ],
+        box,
+        _PREFETCH_FAULT_KINDS,
+        lambda k: _obtain_trace(missing[k], **cell).to_bytes(),
+        commit,
+    )
+    return payloads
 
 
 def measure_cells(
@@ -711,8 +654,6 @@ def measure_cells(
     from .sweep import PlatformMeasurement, measure_platform
 
     opts = current_options()
-    retry = opts.retry
-    plan = opts.faults
     store = store if store is not None else CellStore()
     jobs = max(1, int(jobs))
     resolved = [resolve_backend(spec) for spec in specs]
@@ -722,7 +663,7 @@ def measure_cells(
     rows: List[List[Optional[PlatformMeasurement]]] = [
         [None] * len(ns) for _ in specs
     ]
-    #: shards still to measure: (i, j, spec, cell key or None)
+    #: cells still to measure, in matrix order: (i, j, spec, key or None)
     pending: List[Tuple[int, int, Any, Optional[str]]] = []
 
     for i, spec in enumerate(specs):
@@ -734,68 +675,75 @@ def measure_cells(
             if rows[i][j] is None:
                 pending.append((i, j, spec, key))
 
-    # Registry-name shards may cross the process boundary; instances run
+    # Registry-name cells may cross the process boundary; instances run
     # in the parent (they can carry state the fork would then discard).
     poolable = [p for p in pending if isinstance(p[2], str)]
-    inline = [p for p in pending if not isinstance(p[2], str)]
-
+    box = None
     if jobs > 1 and len(poolable) > 1:
-        degraded = _execute_pool_shards(
-            poolable,
-            names,
-            ns,
-            rows,
-            seed=seed,
-            periods=periods,
-            mode=mode,
-            mode_value=mode_value,
-            jobs=jobs,
-            store=store,
-            opts=opts,
-        )
-        inline = degraded + inline
-    else:
-        inline = poolable + inline  # preserve matrix order below
+        box = _PoolBox(min(jobs, len(poolable)), opts.retry.max_attempts)
+    # Ship worker traces home only when someone is listening.
+    collect = obs_is_active()
+    registry = get_registry()
 
-    for i, j, spec, key in sorted(inline, key=lambda p: (p[0], p[1])):
-        sid = _shard_id(names[i], ns[j])
-        attempt = 0
-        while True:
-            try:
-                # Inline chaos is limited to transient OSErrors — a
-                # "crash" here would kill the parent itself, and hangs
-                # cannot be preempted in-process.
-                if plan is not None and plan.should_inject("oserror", sid, attempt):
-                    metric_inc("atm_faults", kind="injected")
-                    raise OSError("injected transient fault")
-                with obs_span(
-                    "harness.shard",
-                    cat="harness",
-                    platform=names[i],
-                    n_aircraft=ns[j],
-                    source="inline",
-                    jobs=jobs,
-                ) as sp:
-                    m = measure_platform(
-                        spec, ns[j], seed=seed, periods=periods, mode=mode,
-                        cache=False, journal=False,
-                    )
-                    sp.add_modelled(_modelled_seconds(m))
-                break
-            except OSError as exc:
-                fault_span(
-                    "os-error",
-                    platform=names[i], n_aircraft=ns[j],
-                    attempt=attempt, error=str(exc),
-                )
-                attempt += 1
-                if attempt >= retry.max_attempts:
-                    raise
-                metric_inc("atm_faults", kind="retries")
-                time.sleep(retry.backoff_for(attempt - 1))
-        metric_inc("atm_shards", source="inline")
+    def in_parent(k: int) -> Any:
+        i, j, spec, _ = pending[k]
+        with obs_span(
+            "harness.shard",
+            cat="harness",
+            platform=names[i],
+            n_aircraft=ns[j],
+            source="inline",
+            jobs=jobs,
+        ) as sp:
+            m = measure_platform(
+                spec, ns[j], seed=seed, periods=periods, mode=mode,
+                cache=False, journal=False,
+            )
+            sp.add_modelled(_modelled_seconds(m))
+        return m
+
+    def commit(k: int, value: Any, pooled: bool) -> None:
+        i, j, _, key = pending[k]
+        if pooled:
+            m = PlatformMeasurement.from_dict(value["measurement"])
+            _emit_shard(names[i], ns[j], "pool", jobs, m, worker_obs=value["obs"])
+            if value["metrics"] is not None:
+                registry.load_snapshot(value["metrics"])
+        else:
+            m = value
+            metric_inc("atm_shards", source="inline")
         rows[i][j] = m
         if key is not None:
             store.put(key, m)
 
+    try:
+        payloads: Dict[int, bytes] = {}
+        if box is not None and opts.trace:
+            payloads = _prefetch_traces(
+                box,
+                sorted({ns[j] for (_, j, _, _) in poolable}),
+                seed=seed,
+                periods=periods,
+                mode=mode,
+                mode_value=mode_value,
+                jobs=jobs,
+            )
+        units = [
+            (
+                f"{names[i]}@{ns[j]}",
+                dict(platform=names[i], n_aircraft=ns[j]),
+                (
+                    _measure_shard, spec, ns[j], seed, periods, mode_value,
+                    payloads.get(ns[j]), collect, opts.pruning,
+                    registry is not None,
+                )
+                if box is not None and isinstance(spec, str)
+                else None,
+            )
+            for i, j, spec, _ in pending
+        ]
+        _attempt(units, box, WORKER_FAULT_KINDS, in_parent, commit)
+    finally:
+        if box is not None:
+            box.shutdown()
     return names, rows

@@ -122,16 +122,14 @@ def _remember_trace(
     The :class:`~repro.core.trace.TraceBudget` gates both tiers: a trace
     above the resident bound is never memoized (the streaming replay
     path serves such cells), and one above the payload bound is never
-    serialized to the store.
+    serialized to the store.  The store is written only when it has no
+    entry file under the key, which a plain stat tells: no verified
+    read, no counted miss.
     """
     budget = budget or DEFAULT_TRACE_BUDGET
     nbytes = trace_nbytes(trace)
     key = trace.key()
-    if (
-        traces is not None
-        and budget.allows_payload(nbytes)
-        and traces.get(key) is None
-    ):
+    if traces is not None and budget.allows_payload(nbytes) and key not in traces:
         traces.put(key, trace)
     if not budget.allows_resident(nbytes):
         return
@@ -155,14 +153,18 @@ def _lookup_trace(
 
     Hits emit a ``harness.trace`` span (source ``memo``/``store``) and
     count it in ``atm_trace_requests``; misses emit nothing — whoever
-    computes the trace owns the ``compute``/``pool`` span.  ``pruning``
-    may be a policy ("auto"); the key resolves it at ``n``.
+    computes the trace owns the ``compute``/``pool`` span.  A memo hit
+    also writes the trace to ``traces`` when that store lacks it (it may
+    have been computed before the store was in scope).  ``pruning`` may
+    be a policy ("auto"); the key resolves it at ``n``.
     """
     key = trace_key(n=n, seed=seed, periods=periods, mode=mode, pruning=pruning)
     trace = _TRACE_MEMO.get(key)
     if trace is not None:
         _TRACE_MEMO.move_to_end(key)
         source = "memo"
+        if traces is not None:
+            _remember_trace(trace, traces, budget=budget)
     elif traces is not None:
         trace = traces.get(key)
         if trace is None:

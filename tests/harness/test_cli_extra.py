@@ -152,6 +152,38 @@ class TestQuarantineSummary:
         )
         assert (cache_dir / "quarantine").exists()
 
+    def test_corrupt_traces_are_reported_under_their_own_quarantine(
+        self, capsys, tmp_path
+    ):
+        import shutil
+
+        from repro.harness.sweep import _TRACE_MEMO
+
+        cache_dir = tmp_path / "cache"
+        args = ["report", "--only", "abl-fused", "--cache-dir", str(cache_dir)]
+        _TRACE_MEMO.clear()
+        assert main(args) == 0
+        capsys.readouterr()
+
+        # Without the result entries and the memo the rerun reads the
+        # stored traces, each of them rotten.
+        shutil.rmtree(cache_dir / "v2")
+        traces = sorted((cache_dir / "traces").rglob("*.trace"))
+        assert traces
+        for path in traces:
+            path.write_bytes(b"rot")
+        _TRACE_MEMO.clear()
+        assert main(args) == 0
+        err = capsys.readouterr().err
+        assert (
+            f"integrity: {len(traces)} corrupt entries quarantined under"
+            f" {cache_dir}/traces/quarantine" in err
+        )
+        assert f"under {cache_dir}/quarantine" not in err
+        assert len(list((cache_dir / "traces" / "quarantine").iterdir())) == len(
+            traces
+        )
+
     def test_clean_cache_prints_no_integrity_line(self, capsys, tmp_path):
         cache_dir = tmp_path / "cache"
         args = ["report", "--only", "abl-fused", "--cache-dir", str(cache_dir)]

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.harness import parallel
 from repro.harness.cache import ResultCache, TraceStore
 from repro.harness.faults import (
     FAULT_KINDS,
@@ -24,7 +25,7 @@ from repro.harness.faults import (
     parse_fault_spec,
 )
 from repro.harness.parallel import sweep_options
-from repro.harness.sweep import sweep
+from repro.harness.sweep import _TRACE_MEMO, sweep
 from repro.obs import collecting
 from repro.obs.metrics import recording
 from repro.service.journal import RequestJournal
@@ -217,6 +218,95 @@ class TestChaosByteEquivalence:
         assert cache.quarantined == 4
         assert r.value("atm_faults", kind="corrupt-entry") == 4
         assert len(list((tmp_path / "cache" / "quarantine").glob("*.json"))) >= 4
+
+
+#: the trace prefetch as the engine runs it, before any monkeypatch.
+_compute_trace_shard = parallel._compute_trace_shard
+
+
+def _flaky_trace_shard(*args):
+    """A trace prefetch whose first try, in whichever worker runs first,
+    raises a transient ``OSError``: creating the marker file named in
+    the environment with ``O_EXCL`` picks that one try."""
+    marker = os.environ["ATM_REPRO_TEST_FLAKY_MARKER"]
+    try:
+        os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+    except FileExistsError:
+        return _compute_trace_shard(*args)
+    raise OSError("transient prefetch fault")
+
+
+class TestTracePrefetchAttempts:
+    """The pool's trace prefetch runs through the attempt loop every
+    cell runs through: one timeout, one set of fault kinds, one retry
+    count.  Each test clears the trace memo after its serial baseline,
+    so the pooled sweep computes its traces on the pool."""
+
+    def test_hung_prefetch_is_timed_out_and_retried(self):
+        baseline = clean_sweep_json()
+        _TRACE_MEMO.clear()
+        plan = FaultPlan({"timeout": 0.5}, seed=98, hang_s=2.5)
+        assert plan.worker_fault("trace@96", 0) == "timeout"
+        others = ["trace@192"] + [
+            f"{p}@{n}" for p in ("reference", "cuda:gtx-880m") for n in NS
+        ]
+        assert not any(plan.worker_fault(sid, 0) for sid in others), (
+            "the seed must hang the n=96 prefetch's first try alone"
+        )
+        retry = RetryPolicy(max_attempts=3, backoff_s=0.001, timeout_s=1.0)
+        with collecting() as c, recording() as r, sweep_options(
+            faults=plan, retry=retry
+        ):
+            chaos = sweep(PLATFORMS, ns=NS, periods=1, jobs=JOBS).to_canonical_json()
+        assert chaos == baseline
+        timeouts = [
+            s.attrs for s in c.find("harness.fault") if s.attrs["kind"] == "timeout"
+        ]
+        assert {"stage": "trace", "n_aircraft": 96, "attempt": 0}.items() <= (
+            timeouts[0].items()
+        )
+        assert r.value("atm_faults", kind="retries") >= 1
+        assert r.value("atm_faults", kind="degraded-to-inline") is None
+        assert r.value("atm_trace_requests", source="pool") == len(NS)
+
+    def test_transient_prefetch_oserror_is_retried(self, tmp_path, monkeypatch):
+        baseline = clean_sweep_json()
+        _TRACE_MEMO.clear()
+        monkeypatch.setenv("ATM_REPRO_TEST_FLAKY_MARKER", str(tmp_path / "once"))
+        monkeypatch.setattr(parallel, "_compute_trace_shard", _flaky_trace_shard)
+        with collecting() as c, recording() as r, sweep_options(retry=FAST_RETRY):
+            chaos = sweep(PLATFORMS, ns=NS, periods=1, jobs=JOBS).to_canonical_json()
+        assert chaos == baseline
+        faults = [
+            (s.attrs["kind"], s.attrs["stage"]) for s in c.find("harness.fault")
+        ]
+        assert faults == [("os-error", "trace")]
+        assert r.value("atm_faults", kind="retries") == 1
+        assert r.value("atm_trace_requests", source="pool") == len(NS)
+
+
+class TestTraceStoreTraffic:
+    """A stored trace costs the TraceStore one probe and one miss, and a
+    trace the memo already holds still reaches a store that lacks it."""
+
+    @pytest.mark.parametrize("jobs", [1, JOBS])
+    def test_cold_sweep_misses_once_per_stored_trace(self, tmp_path, jobs):
+        _TRACE_MEMO.clear()
+        traces = TraceStore(tmp_path / "traces")
+        with sweep_options(traces=traces):
+            sweep(PLATFORMS, ns=NS, periods=1, jobs=jobs)
+        stats = traces.stats()
+        assert stats["misses"] == stats["stores"] == stats["entries"] == len(NS)
+
+    def test_memo_hit_writes_a_store_that_lacks_the_trace(self, tmp_path):
+        _TRACE_MEMO.clear()
+        sweep(PLATFORMS, ns=NS, periods=1)  # the traces reach the memo only
+        traces = TraceStore(tmp_path / "traces")
+        with sweep_options(traces=traces):
+            sweep(PLATFORMS, ns=NS, periods=1)
+        stats = traces.stats()
+        assert stats["entries"] == stats["stores"] == len(NS)
+        assert stats["misses"] == 0
 
 
 # ---------------------------------------------------------------------------

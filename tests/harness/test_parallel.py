@@ -282,17 +282,6 @@ class TestCliFlags:
         assert any('source="store"' in line for line in requests), requests
         assert not any('source="pool"' in line for line in requests), requests
 
-    def test_no_cache_flag(self, tmp_path, capsys):
-        from repro.harness.cli import main
-
-        cache_dir = tmp_path / "cache"
-        assert main([
-            "report", "--only", "abl-fused", "--out", str(tmp_path / "r.json"),
-            "--cache-dir", str(cache_dir), "--no-cache",
-        ]) == 0
-        assert not cache_dir.exists()
-        capsys.readouterr()
-
     def test_cache_stats_and_clear_subcommands(self, tmp_path, capsys):
         from repro.harness.cli import main
 

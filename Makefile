@@ -48,12 +48,12 @@ bench:
 ## CI gate for the trace engine: writes its record to
 ## /tmp/BENCH_trace_engine.json (the committed BENCH_trace_engine.json is
 ## regenerated on purpose with `atm-repro bench --out
-## BENCH_trace_engine.json`) and fails when the replay speedup regresses
-## >25% vs the committed baseline
+## BENCH_trace_engine.json`) and fails unless the cold sweep computed
+## one trace per distinct fleet size, the warm sweep none, neither
+## streamed, and both are byte-identical: exact counts, no timing
 bench-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.harness.cli bench \
-		--out /tmp/BENCH_trace_engine.json \
-		--baseline benchmarks/baselines/bench_smoke.json
+		--out /tmp/BENCH_trace_engine.json
 
 ## the continental-scale record (not kept in the repository): a
 ## calibration of the gated in-place pass against the sweepline plus the

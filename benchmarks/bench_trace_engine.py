@@ -1,10 +1,11 @@
-"""Trace engine — functional re-execution vs shared-trace replay.
+"""Trace engine — one functional pass per fleet size, shared by every backend.
 
 Unlike the figure benchmarks, the artifact here is not a paper figure
-but the harness itself: ``run_bench`` times the same multi-platform
-sweep with the trace engine off, cold and warm, proving the replay is
-byte-identical before reporting the speedup.  The shape assertion is
-the PR's acceptance bar — replay must be a real win, not a wash.
+but the harness itself: ``run_bench`` sweeps the same multi-platform
+matrix cold and warm, counts each stage's exact trace work and proves
+the two sweeps byte-identical.  The shape assertions are the trace
+engine's acceptance bar: the record's verdict passes, and a warm memo
+beats a cold one (it skips the functional pass too).
 """
 
 from repro.harness.bench import SMOKE_BENCH_NS, run_bench
@@ -17,14 +18,11 @@ def test_trace_engine_speedup(bench_once, benchmark):
     benchmark.extra_info["platforms"] = result["config"]["platforms"]
     for stage in result["stages"]:
         benchmark.extra_info[f"wall:{stage['name']}"] = stage["wall_s"]
-    benchmark.extra_info["speedup:cold"] = result["speedup"]["cold"]
-    benchmark.extra_info["speedup:warm"] = result["speedup"]["warm"]
+        benchmark.extra_info[f"computed:{stage['name']}"] = stage["traces"]["compute"]
 
-    # Correctness first: replay that changes bytes is a bug, not a win.
-    assert result["equivalent"]
+    # Correctness and work first: one functional pass per fleet size
+    # cold, none warm, no private pass, and identical bytes.
+    assert result["failures"] == [], result["failures"]
 
-    # The acceptance bar: sharing one functional pass across every
-    # backend must beat per-backend re-execution by 3x or better, and a
-    # warm memo must beat a cold one (it skips the functional pass too).
-    assert result["speedup"]["cold"] >= 3.0, result["speedup"]
-    assert result["speedup"]["warm"] >= result["speedup"]["cold"], result["speedup"]
+    cold, warm = result["stages"]
+    assert warm["wall_s"] < cold["wall_s"], (cold["wall_s"], warm["wall_s"])

@@ -261,9 +261,7 @@ def _commit(fleet: FleetState, frame: RadarFrame, stats: TrackingStats) -> None:
     valid = frame.match_with >= 0
     radars = np.nonzero(valid)[0]
     planes = frame.match_with[radars]
-    good = (fleet.r_match[planes] == C.MATCHED_ONCE) & (
-        fleet.matched_radar[planes] == radars
-    )
+    good = fleet.r_match[planes] == C.MATCHED_ONCE
     take_radar[planes[good]] = True
     radar_of[planes[good]] = radars[good]
 

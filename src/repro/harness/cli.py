@@ -11,7 +11,6 @@ Examples::
     atm-repro report --trace report-trace.json
     atm-repro report --jobs 4 --cache-dir .atm-repro-cache
     atm-repro report --metrics-out report.prom
-    atm-repro metrics
     atm-repro dashboard --out dashboard.html
     atm-repro bench --out BENCH_trace_engine.json
     atm-repro cache stats
@@ -52,11 +51,6 @@ report flags:
                        cache at DIR (created on first use; default
                        .atm-repro-cache); functional traces get their own
                        tier at DIR/traces
-  --no-trace-replay    disable the shared functional-trace engine: every
-                       cell replays its cost ledgers from a private
-                       functional pass of its own instead of a trace shared
-                       per fleet size (bytes identical either way; see
-                       docs/performance.md)
 
 fault tolerance (docs/robustness.md):
   --resume             resume a crashed/killed run from the checkpoint
@@ -76,10 +70,12 @@ fault tolerance (docs/robustness.md):
                        one sweep tolerates (default 3)
 
 benchmarking:
-  atm-repro bench [--out FILE] [--full] [--baseline FILE]
-  times the five-backend sweep with the trace engine off/cold/warm,
-  checks byte-identical output, and writes a BENCH_*.json record; with
-  --baseline it exits non-zero when the speedup regresses >25%%.
+  atm-repro bench [--out FILE] [--full] [--ns N ...]
+  sweeps every backend family twice (trace_cold, then trace_warm),
+  counts each stage's trace work and writes a BENCH_*.json record; it
+  exits 1 unless the cold stage computed one trace per distinct fleet
+  size, the warm stage none, neither streamed, and the two sweeps are
+  byte-identical (see docs/performance.md).
 
   atm-repro bench --large [--large-n N] [--table-out FILE]
   the continental-scale profile: times the gated in-place functional
@@ -106,13 +102,7 @@ profiling:
   attribution per backend component), then the registry's counter and
   gauge series.  See docs/observability.md.
 
-metrics & dashboard (docs/observability.md):
-  atm-repro metrics [--only ID ...] [--out FILE]
-  runs experiments (default tbl-deadline, quick) under the metrics
-  registry and emits the full OpenMetrics exposition — deadline-margin
-  histograms, miss counters, shard/cache/fault counters; also available
-  as 'report --metrics-out FILE' alongside a full report run.
-
+dashboard (docs/observability.md):
   atm-repro dashboard [--out FILE] [--only ID ...] [--jobs N]
   runs experiments (default fig4 fig6 tbl-deadline ext-vector — all five
   platform families) under the collector + registry and writes one
@@ -206,12 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="memoize measurement cells in the result cache at DIR",
     )
     report.add_argument(
-        "--no-trace-replay",
-        action="store_true",
-        help="replay every cell from a private functional pass instead of"
-        " a trace shared per fleet size (bytes identical)",
-    )
-    report.add_argument(
         "--resume",
         action="store_true",
         help="resume from the checkpoint journal at <cache-dir>/journal.jsonl,"
@@ -252,28 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="candidate-pruning policy for the functional passes"
         " (default auto; report bytes identical for every setting)",
-    )
-
-    metrics = sub.add_parser(
-        "metrics",
-        help="run experiments under the metrics registry, emit OpenMetrics",
-    )
-    metrics.add_argument(
-        "--only",
-        nargs="+",
-        default=["tbl-deadline"],
-        metavar="ID",
-        help="experiment ids to run (default: tbl-deadline)",
-    )
-    metrics.add_argument(
-        "--out", default=None, metavar="FILE", help="write here instead of stdout"
-    )
-    metrics.add_argument("--seed", type=int, default=2018)
-    metrics.add_argument(
-        "--full", action="store_true", help="full sweeps instead of quick"
-    )
-    metrics.add_argument(
-        "--jobs", type=int, default=1, metavar="N", help="worker processes"
     )
 
     dashboard = sub.add_parser(
@@ -426,7 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="benchmark the trace engine against functional re-execution",
+        help="check the trace engine's exact work: one functional pass per"
+        " fleet size",
     )
     bench.add_argument(
         "--out",
@@ -460,20 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--full",
         action="store_true",
         help="use the full fleet-size profile instead of the smoke profile",
-    )
-    bench.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="compare against this committed BENCH_*.json; exit 1 on"
-        " regression",
-    )
-    bench.add_argument(
-        "--max-regression",
-        type=float,
-        default=0.25,
-        metavar="FRAC",
-        help="allowed fractional speedup regression vs baseline (default 0.25)",
     )
     bench.add_argument(
         "--large",
@@ -582,12 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="S",
         help="seconds a batch waits for more cells after taking every"
         " queued one; 0 dispatches the backlog at once (default %(default)s)",
-    )
-    serve.add_argument(
-        "--max-batch-cells",
-        type=int,
-        default=served.max_batch_cells,
-        help="largest number of cells dispatched as one batch",
     )
     serve.add_argument(
         "--max-queue-cells",
@@ -733,27 +676,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("platforms:")
         for name in available_backends():
             print(f"  {name}")
-        return 0
-
-    if args.command == "metrics":
-        from ..obs.metrics import MetricsRegistry, to_openmetrics
-        from .report import build_report
-
-        registry = MetricsRegistry()
-        build_report(
-            quick=not args.full,
-            seed=args.seed,
-            only=args.only,
-            jobs=args.jobs,
-            metrics_registry=registry,
-        )
-        text = to_openmetrics(registry.snapshot())
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            print(f"wrote {args.out}")
-        else:
-            print(text, end="")
         return 0
 
     if args.command == "dashboard":
@@ -910,7 +832,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             only=args.only,
             jobs=args.jobs,
             cache=cache,
-            trace=False if args.no_trace_replay else None,
             traces=traces,
             retry=retry,
             faults=faults,
@@ -964,7 +885,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             DEFAULT_BENCH_NS,
             LARGE_BENCH_N,
             SMOKE_BENCH_NS,
-            compare_to_baseline,
             large_bench_table,
             render_bench,
             render_bench_large,
@@ -1006,32 +926,19 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 0
 
         ns = args.ns or (DEFAULT_BENCH_NS if args.full else SMOKE_BENCH_NS)
-        result = run_bench(
-            ns=ns, platforms=args.platforms, seed=args.seed, **periods
-        )
+        try:
+            result = run_bench(
+                ns=ns, platforms=args.platforms, seed=args.seed, **periods
+            )
+        except ValueError as exc:
+            print(f"bench: {exc}", file=sys.stderr)
+            return 2
         write_bench(args.out, result)
         print(f"wrote {args.out}")
         print(render_bench(result))
-        if args.baseline:
-            import json as _json
-
-            with open(args.baseline, "r", encoding="utf-8") as fh:
-                baseline = _json.load(fh)
-            failures = compare_to_baseline(
-                result, baseline, max_regression=args.max_regression
-            )
-            if failures:
-                for failure in failures:
-                    print(f"FAIL: {failure}", file=sys.stderr)
-                return 1
-            print(
-                f"baseline {args.baseline}: speedup within "
-                f"{args.max_regression:.0%} of {baseline['speedup']['cold']:.2f}x"
-            )
-        elif not result["equivalent"]:
-            print("FAIL: stages are not byte-identical", file=sys.stderr)
-            return 1
-        return 0
+        for failure in result["failures"]:
+            print(f"FAIL: {failure}", file=sys.stderr)
+        return 1 if result["failures"] else 0
 
     if args.command == "cache":
         from pathlib import Path
@@ -1101,7 +1008,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             jobs=args.jobs,
             cache_dir=args.cache_dir,
             batch_window_s=args.batch_window,
-            max_batch_cells=args.max_batch_cells,
             max_queue_cells=args.max_queue_cells,
             default_deadline_s=args.default_deadline,
             journal_path=args.journal,

@@ -102,18 +102,11 @@ class SweepOptions:
     jobs: int = 1
     #: result cache, or None to measure everything.
     cache: Optional[ResultCache] = None
-    #: share one functional trace per fleet size across every backend's
-    #: cost replay (see docs/performance.md).  Off = every cell replays
-    #: from a private functional pass of its own; bytes are identical.
-    trace: bool = True
     #: on-disk tier for functional traces, or None for in-process only.
     traces: Optional[TraceStore] = None
     #: candidate-pruning policy for functional passes ("auto"/"on"/"off";
     #: see repro.core.sweepline).  Outputs are bit-identical either way.
     pruning: str = "auto"
-    #: memory envelope for trace materialization/shipping, or None for
-    #: the default (repro.core.trace.DEFAULT_TRACE_BUDGET).
-    trace_budget: Optional[Any] = None
     #: retry/backoff/timeout policy for failed shards.
     retry: RetryPolicy = RetryPolicy()
     #: deterministic fault injector (chaos tests, --inject-faults).
@@ -154,10 +147,8 @@ def sweep_options(
     *,
     jobs: Optional[int] = None,
     cache: Any = _KEEP,
-    trace: Optional[bool] = None,
     traces: Any = _KEEP,
     pruning: Optional[str] = None,
-    trace_budget: Any = _KEEP,
     retry: Optional[RetryPolicy] = None,
     faults: Any = _KEEP,
     journal: Any = _KEEP,
@@ -167,12 +158,10 @@ def sweep_options(
     new = SweepOptions(
         jobs=base.jobs if jobs is None else max(1, int(jobs)),
         cache=_resolve(cache, base.cache),
-        trace=base.trace if trace is None else bool(trace),
         traces=_resolve(traces, base.traces),
         pruning=base.pruning if pruning is None else str(
             getattr(pruning, "value", pruning)
         ),
-        trace_budget=_resolve(trace_budget, base.trace_budget),
         retry=base.retry if retry is None else retry,
         faults=_resolve(faults, base.faults),
         journal=_resolve(journal, base.journal),
@@ -228,17 +217,18 @@ def _measure_shard(
     Runs in a worker process: resolves a *fresh* backend from the
     registry, so the cell is a pure function of its arguments, and
     returns plain JSON-able data (never pickled numpy state).  The
-    worker never touches the cache — the parent owns all cache traffic
+    worker never touches a store — the parent owns all store traffic
     so hit/miss counters and writes stay in one process.
 
     ``trace_payload`` is the cell's
     :class:`~repro.core.trace.FunctionalTrace` as its checksummed array
     buffer (the parent computes each distinct fleet size once, possibly
     on this same pool); the worker replays cost models from it.  Without
-    one — the trace engine is off, or the payload would exceed the trace
-    budget's shipping bound — the worker streams a private functional
-    pass under ``pruning``.  Workers never consult ambient policy, so
-    shard results are pure functions of the argument tuple.
+    one — the payload would exceed the trace budget's shipping bound —
+    the worker streams a private functional pass under ``pruning``, so
+    its work and counts stay the cell's own whatever the scheduling.
+    Workers never consult ambient policy, so shard results are pure
+    functions of the argument tuple.
 
     ``collect=True`` runs the cell under a private in-worker collector
     and returns its ``{spans, events}`` under ``"obs"`` (else None), so
@@ -249,29 +239,25 @@ def _measure_shard(
     without the deterministic families: the parent records each pool
     cell's deadline series itself, in ``_emit_shard``.
     """
+    from ..backends.registry import resolve_backend
     from ..core.collision import DetectionMode
     from ..core.trace import FunctionalTrace
     from ..obs import Collector, collecting
     from ..obs.metrics import recording
-    from .sweep import measure_platform
+    from .sweep import _cell_records, _private_pass, _replay
 
-    trace = (
-        False if trace_payload is None else FunctionalTrace.from_bytes(trace_payload)
-    )
+    cell = dict(seed=seed, periods=periods, mode=DetectionMode(mode_value))
     with ExitStack() as scopes:
         c = scopes.enter_context(collecting(Collector())) if collect else None
         r = scopes.enter_context(recording()) if metrics else None
-        m = measure_platform(
-            spec,
-            n,
-            seed=seed,
-            periods=periods,
-            mode=DetectionMode(mode_value),
-            cache=False,
-            trace=trace,
-            journal=False,
-            pruning=pruning,
-        )
+        if trace_payload is None:
+            records = _private_pass(n, pruning=pruning, **cell)
+        else:
+            records = _cell_records(
+                n, trace=FunctionalTrace.from_bytes(trace_payload),
+                pruning=pruning, **cell,
+            )
+        m = _replay(resolve_backend(spec), n, records)
     return {
         "measurement": m.to_dict(),
         "obs": None if c is None else {
@@ -460,8 +446,10 @@ def _attempt(
     """Run every unit to completion, in order: the engine's one attempt loop.
 
     Every unit with a pool task is submitted up front, and units are
-    collected in order.  Each pool try draws its FaultPlan directive
-    over ``kinds`` under the unit's id, and may time out (the ambient
+    collected in order.  Each submission draws its FaultPlan directive
+    over ``kinds`` under the unit's id and its own count of submissions,
+    so a unit resubmitted after another unit broke the pool does not
+    replay its last directive.  A try may time out (the ambient
     ``RetryPolicy.timeout_s``), crash the pool — which is rebuilt
     within its budget, every uncollected unit resubmitted — or raise an
     ``OSError``.  Each failure is one ``harness.fault`` span; each retry
@@ -480,6 +468,7 @@ def _attempt(
     opts = current_options()
     retry, plan = opts.retry, opts.faults
     attempts = [0] * len(units)
+    submissions = [0] * len(units)
     #: each unit's outstanding pool future; None runs it in the parent.
     futures: List[Any] = [None] * len(units)
 
@@ -494,10 +483,11 @@ def _attempt(
         sid, _, task = units[k]
         inject = None
         if plan is not None:
-            kind = plan.worker_fault(sid, attempts[k], kinds)
+            kind = plan.worker_fault(sid, submissions[k], kinds)
             if kind is not None:
                 metric_inc("atm_faults", kind="injected")
                 inject = (kind, plan.hang_s)
+        submissions[k] += 1
         try:
             futures[k] = box.pool.submit(_in_worker, inject, *task)
         except BrokenProcessPool as exc:
@@ -573,24 +563,25 @@ def _prefetch_traces(
     A trace the memo or the ``TraceStore`` holds is served from there;
     each other one is a unit of the attempt loop (fault id
     ``trace@<n>``), computed on the pool, or by
-    :func:`~repro.harness.sweep._obtain_trace` in the parent if the pool
+    :func:`~repro.harness.sweep._compute_trace` in the parent if the pool
     gives up on it.  A fleet size whose trace would exceed the budget's
     shipping bound gets no payload — each worker streams its own
     (pruned) pass rather than receive a multi-GB buffer.
     """
-    from ..core.trace import DEFAULT_TRACE_BUDGET, FunctionalTrace, estimate_trace_bytes
-    from .sweep import _lookup_trace, _obtain_trace, _remember_trace
+    from ..core.trace import FunctionalTrace, estimate_trace_bytes
+    from .sweep import (
+        DEFAULT_TRACE_BUDGET, _compute_trace, _lookup_trace, _remember_trace,
+    )
 
     opts = current_options()
-    budget = opts.trace_budget or DEFAULT_TRACE_BUDGET
     cell = dict(
         seed=seed, periods=periods, mode=mode, traces=opts.traces,
-        pruning=opts.pruning, budget=budget,
+        pruning=opts.pruning,
     )
     payloads: Dict[int, bytes] = {}
     missing: List[int] = []
     for n in wanted_ns:
-        if budget.allows_payload(estimate_trace_bytes(n, periods)):
+        if DEFAULT_TRACE_BUDGET.allows_payload(estimate_trace_bytes(n, periods)):
             trace = _lookup_trace(n, **cell)
             if trace is None:
                 missing.append(n)
@@ -605,9 +596,7 @@ def _prefetch_traces(
             ):
                 pass
             metric_inc("atm_trace_requests", source="pool")
-            _remember_trace(
-                FunctionalTrace.from_bytes(payload), opts.traces, budget=budget
-            )
+            _remember_trace(FunctionalTrace.from_bytes(payload), opts.traces)
         payloads[n] = payload
 
     _attempt(
@@ -621,7 +610,7 @@ def _prefetch_traces(
         ],
         box,
         _PREFETCH_FAULT_KINDS,
-        lambda k: _obtain_trace(missing[k], **cell).to_bytes(),
+        lambda k: _compute_trace(missing[k], **cell).to_bytes(),
         commit,
     )
     return payloads
@@ -718,7 +707,7 @@ def measure_cells(
 
     try:
         payloads: Dict[int, bytes] = {}
-        if box is not None and opts.trace:
+        if box is not None:
             payloads = _prefetch_traces(
                 box,
                 sorted({ns[j] for (_, j, _, _) in poolable}),

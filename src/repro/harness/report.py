@@ -54,7 +54,6 @@ def build_report(
     only: Optional[list] = None,
     jobs: int = 1,
     cache: Any = None,
-    trace: Optional[bool] = None,
     traces: Any = None,
     retry: Any = None,
     faults: Any = None,
@@ -82,11 +81,6 @@ def build_report(
         measurement cells from; None runs everything fresh.  Like
         ``jobs``, caching never changes the report's bytes, so neither
         parameter is recorded in the document.
-    trace:
-        ``False`` disables the shared functional-trace engine (every
-        cell replays from a private functional pass); ``None``/``True``
-        keep it on.  Like ``jobs``, the report bytes are identical
-        either way — see docs/performance.md.
     traces:
         A :class:`~repro.harness.cache.TraceStore` for the on-disk
         functional-trace tier; None keeps traces in-process only.
@@ -108,11 +102,10 @@ def build_report(
     pruning:
         Candidate-pruning policy for the functional passes
         (``"auto"``/``"on"``/``"off"``, ``--pruning``); None keeps the
-        ambient default (``auto``).  Like ``jobs`` and ``trace``, the
-        report bytes are identical for every setting — the sweepline
-        pruner and the in-place gated pass are both proven
-        bit-identical to the dense all-pairs reference (see
-        docs/performance.md, "Large-n regime").
+        ambient default (``auto``).  Like ``jobs``, the report bytes
+        are identical for every setting — the sweepline pruner and the
+        in-place gated pass are both proven bit-identical to the dense
+        all-pairs reference (see docs/performance.md, "Large-n regime").
     metrics_registry:
         A :class:`~repro.obs.metrics.MetricsRegistry` to record into
         while the experiments run (``--metrics-out`` passes one so the
@@ -132,7 +125,7 @@ def build_report(
     registry = metrics_registry if metrics_registry is not None else MetricsRegistry()
     results = {}
     with recording(registry), sweep_options(
-        jobs=jobs, cache=cache, trace=trace, traces=traces,
+        jobs=jobs, cache=cache, traces=traces,
         pruning=pruning, retry=retry, faults=faults, journal=journal,
     ):
         for exp_id in chosen:

@@ -114,24 +114,25 @@ _TRACE_MEMO: "OrderedDict[str, FunctionalTrace]" = OrderedDict()
 _TRACE_MEMO_CAPACITY = 16
 
 
-def _remember_trace(
-    trace: FunctionalTrace, traces: Any = None, *, budget: Any = None
-) -> None:
+def _remember_trace(trace: FunctionalTrace, traces: Any = None) -> None:
     """Admit ``trace`` to the memo (LRU) and the on-disk tier if given.
 
-    The :class:`~repro.core.trace.TraceBudget` gates both tiers: a trace
-    above the resident bound is never memoized (the streaming replay
-    path serves such cells), and one above the payload bound is never
-    serialized to the store.  The store is written only when it has no
-    entry file under the key, which a plain stat tells: no verified
-    read, no counted miss.
+    ``DEFAULT_TRACE_BUDGET`` — this module's binding, the one budget the
+    harness reads — gates both tiers: a trace above the resident bound
+    is never memoized (the streaming replay path serves such cells), and
+    one above the payload bound is never serialized to the store.  The
+    store is written only when it has no entry file under the key, which
+    a plain stat tells: no verified read, no counted miss.
     """
-    budget = budget or DEFAULT_TRACE_BUDGET
     nbytes = trace_nbytes(trace)
     key = trace.key()
-    if traces is not None and budget.allows_payload(nbytes) and key not in traces:
+    if (
+        traces is not None
+        and DEFAULT_TRACE_BUDGET.allows_payload(nbytes)
+        and key not in traces
+    ):
         traces.put(key, trace)
-    if not budget.allows_resident(nbytes):
+    if not DEFAULT_TRACE_BUDGET.allows_resident(nbytes):
         return
     _TRACE_MEMO[key] = trace
     _TRACE_MEMO.move_to_end(key)
@@ -147,7 +148,6 @@ def _lookup_trace(
     mode: Any,
     traces: Any,
     pruning: Any = "off",
-    budget: Any = None,
 ) -> Optional[FunctionalTrace]:
     """Memo-then-store lookup of one cell's trace; None when absent.
 
@@ -164,13 +164,13 @@ def _lookup_trace(
         _TRACE_MEMO.move_to_end(key)
         source = "memo"
         if traces is not None:
-            _remember_trace(trace, traces, budget=budget)
+            _remember_trace(trace, traces)
     elif traces is not None:
         trace = traces.get(key)
         if trace is None:
             return None
         source = "store"
-        _remember_trace(trace, budget=budget)
+        _remember_trace(trace)
     else:
         return None
     with obs_span("harness.trace", cat="harness", n_aircraft=n, source=source):
@@ -179,32 +179,19 @@ def _lookup_trace(
     return trace
 
 
-def _obtain_trace(
-    n: int,
-    *,
-    seed: int,
-    periods: int,
-    mode: Any,
-    traces: Any,
-    pruning: Any = "off",
-    budget: Any = None,
+def _compute_trace(
+    n: int, *, seed: int, periods: int, mode: Any, traces: Any, pruning: Any = "off"
 ) -> FunctionalTrace:
-    """The cell's trace from memo, store, or a fresh functional pass."""
-    trace = _lookup_trace(
-        n,
-        seed=seed,
-        periods=periods,
-        mode=mode,
-        traces=traces,
-        pruning=pruning,
-        budget=budget,
-    )
-    if trace is not None:
-        return trace
+    """A fresh functional pass of the cell, remembered in memo and store.
+
+    The one ``compute`` step, under its ``harness.trace`` span and its
+    ``atm_trace_requests`` count: a cell whose lookup missed and a trace
+    prefetch the pool gave up on both end here, without probing again.
+    """
     with obs_span("harness.trace", cat="harness", n_aircraft=n, source="compute"):
         trace = compute_trace(n, seed=seed, periods=periods, mode=mode, pruning=pruning)
     metric_inc("atm_trace_requests", source="compute")
-    _remember_trace(trace, traces, budget=budget)
+    _remember_trace(trace, traces)
     return trace
 
 
@@ -239,40 +226,58 @@ def _cell_records(
     :class:`~repro.core.trace.CollisionRecord`.
 
     A given :class:`~repro.core.trace.FunctionalTrace` is replayed as
-    is.  ``trace=True``, or ``None`` under an ambient trace policy that
-    is on, shares one trace per fleet size (memo, then ``TraceStore``,
-    then ``compute_trace``).  ``trace=False``, an ambient policy that is
-    off, or a trace too large for the resident budget gets a private
-    streamed pass instead.
+    is.  Otherwise (``trace`` is None) one rule picks the records: the
+    trace shared by every backend at this fleet size (memo, then the
+    ambient ``TraceStore``, then ``compute_trace``) when it fits the
+    resident budget, else a private streamed pass.
     """
-    opts = current_options()
     if trace is None:
-        trace = opts.trace
-    if trace is True:
-        budget = opts.trace_budget or DEFAULT_TRACE_BUDGET
-        if budget.allows_resident(estimate_trace_bytes(n, periods)):
-            trace = _obtain_trace(
-                n,
-                seed=seed,
-                periods=periods,
-                mode=mode,
-                traces=opts.traces,
-                pruning=pruning,
-                budget=budget,
+        if not DEFAULT_TRACE_BUDGET.allows_resident(estimate_trace_bytes(n, periods)):
+            return _private_pass(
+                n, seed=seed, periods=periods, mode=mode, pruning=pruning
             )
-    elif trace is not False:
-        if not isinstance(trace, FunctionalTrace):
-            raise TypeError(f"trace must be a FunctionalTrace, got {type(trace)!r}")
-        if not trace.matches(n=n, seed=seed, periods=periods, mode=mode):
-            raise ValueError(
-                "trace does not cover the requested measurement cell "
-                f"(trace: n={trace.n_aircraft} seed={trace.seed} "
-                f"periods={trace.periods} mode={trace.mode}; requested: "
-                f"n={n} seed={seed} periods={periods} mode={mode})"
-            )
-    if isinstance(trace, FunctionalTrace):
-        return [*trace.period_records, trace.collision]
-    return _private_pass(n, seed=seed, periods=periods, mode=mode, pruning=pruning)
+        cell = dict(
+            seed=seed, periods=periods, mode=mode,
+            traces=current_options().traces, pruning=pruning,
+        )
+        trace = _lookup_trace(n, **cell)
+        if trace is None:
+            trace = _compute_trace(n, **cell)
+    elif not isinstance(trace, FunctionalTrace):
+        raise TypeError(f"trace must be a FunctionalTrace, got {type(trace)!r}")
+    elif not trace.matches(n=n, seed=seed, periods=periods, mode=mode):
+        raise ValueError(
+            "trace does not cover the requested measurement cell "
+            f"(trace: n={trace.n_aircraft} seed={trace.seed} "
+            f"periods={trace.periods} mode={trace.mode}; requested: "
+            f"n={n} seed={seed} periods={periods} mode={mode})"
+        )
+    return [*trace.period_records, trace.collision]
+
+
+def _replay(backend: Backend, n: int, records: Iterable[Any]) -> PlatformMeasurement:
+    """Charge one cell's functional records to ``backend``'s cost ledgers.
+
+    The one replay loop of every fresh cell, in :func:`measure_platform`
+    and in a pool worker alike.  The deadline SLO monitor sees each
+    freshly-measured cell here; cells served from a store tier or the
+    pool record via ``_emit_shard``, so each returned measurement is
+    recorded exactly once per process.
+    """
+    task1: List[float] = []
+    t23 = None
+    for record in records:
+        if isinstance(record, CollisionRecord):
+            t23 = backend.collision_timing_from_trace(record)
+        else:
+            task1.append(backend.track_timing_from_trace(record).seconds)
+    record_cell_metrics(backend.name, n, task1, t23.seconds)
+    return PlatformMeasurement(
+        platform=backend.name,
+        n_aircraft=n,
+        task1_seconds=task1,
+        task23=t23,
+    )
 
 
 def measure_platform(
@@ -306,16 +311,14 @@ def measure_platform(
     ``deterministic_timing``; a stateful instance — the MIMD model
     mid-experiment — is never served from or written to the store.
 
-    ``trace`` selects where the functional records come from: ``None``
-    follows the ambient :func:`~repro.harness.parallel.sweep_options`
-    policy (on by default), ``True`` uses the shared trace as
-    ``sweep_options(trace=True)`` does — one
-    :class:`~repro.core.trace.FunctionalTrace` per fleet size, replayed
-    by every backend — ``False`` runs a private functional pass for this
-    cell alone, and a :class:`~repro.core.trace.FunctionalTrace`
-    instance is replayed as-is (it must match the task parameters).  All
-    of them return byte-identical measurements — the equivalence tests
-    compare them with the backend's direct task calls.
+    ``trace`` is a :class:`~repro.core.trace.FunctionalTrace` to replay
+    as is (it must match the task parameters), or ``None`` for the one
+    rule of :func:`_cell_records`: the trace shared per fleet size when
+    it fits the resident budget, else a private streamed pass.  Both
+    return byte-identical measurements — the equivalence tests compare
+    them with the backend's direct task calls.  ``False`` means the same
+    as ``None``: the repository benchmark's own test
+    (perfbench/tests/test_layers.py) still passes it.
 
     ``journal`` is a :class:`~repro.service.journal.RequestJournal` to
     checkpoint the cell in (a ``served`` line) and, when resuming, to
@@ -327,9 +330,6 @@ def measure_platform(
     :class:`~repro.core.sweepline.PruningPolicy`), ``None`` for the
     ambient one.  Functional results are bit-identical either way; the
     *effective* setting at this ``n`` participates in the cache key.
-    When the cell's trace would exceed the ambient
-    :class:`~repro.core.trace.TraceBudget`'s resident bound, the private
-    pass replaces the shared trace (same bytes out, bounded memory).
     """
     if periods < 1:
         raise ValueError("need at least one tracking period")
@@ -354,25 +354,10 @@ def measure_platform(
     )
     if stored is not None:
         return stored
-    task1: List[float] = []
-    t23 = None
-    for record in _cell_records(
-        n, seed=seed, periods=periods, mode=mode, trace=trace, pruning=pruning_policy
-    ):
-        if isinstance(record, CollisionRecord):
-            t23 = backend.collision_timing_from_trace(record)
-        else:
-            task1.append(backend.track_timing_from_trace(record).seconds)
-    measurement = PlatformMeasurement(
-        platform=backend.name,
-        n_aircraft=n,
-        task1_seconds=task1,
-        task23=t23,
-    )
-    # The deadline SLO monitor sees every freshly-measured cell here;
-    # cells served from a store tier or the pool record via _emit_shard,
-    # so each returned measurement is recorded exactly once per process.
-    record_cell_metrics(backend.name, n, task1, t23.seconds)
+    measurement = _replay(backend, n, _cell_records(
+        n, seed=seed, periods=periods, mode=mode,
+        trace=None if trace is False else trace, pruning=pruning_policy,
+    ))
     if key is not None:
         store.put(key, measurement)
     return measurement
@@ -438,24 +423,36 @@ def sweep(
 ) -> SweepData:
     """Measure every backend at every fleet size.
 
-    ``jobs``/``cache``/``trace``/``pruning`` default to the ambient
+    ``jobs``/``cache``/``pruning`` default to the ambient
     :func:`~repro.harness.parallel.sweep_options`; pass ``jobs>1`` to
     shard cells across worker processes, a
     :class:`~repro.harness.cache.ResultCache` (or ``False``) to
     override the ambient cache — with the ambient journal, the tiers of
-    the sweep's cell store — ``trace=False`` to give every cell a
-    private functional pass instead of a shared trace, and ``pruning``
-    to set the candidate-pruning policy ("auto"/"on"/"off"; outputs are
+    the sweep's cell store — and ``pruning`` to set the
+    candidate-pruning policy ("auto"/"on"/"off"; outputs are
     bit-identical either way).  The result is merged by matrix
     position, so its :meth:`SweepData.to_canonical_json` bytes do not
-    depend on the worker count, the trace engine, or scheduling order.
+    depend on the worker count, the trace tier that served a cell, or
+    scheduling order.
+
+    Every cell gets its records by one rule (:func:`_cell_records`), so
+    ``trace`` selects nothing: it takes only ``None`` or ``True``, both
+    meaning that rule, because the repository benchmark
+    (perfbench/batch.py) passes ``trace=True``.  Any other value raises
+    ``ValueError``.
     """
+    if trace is not None and trace is not True:
+        raise ValueError(
+            f"sweep(trace=) takes only None or True, got {trace!r}: every"
+            " cell replays the trace shared per fleet size, or a private"
+            " streamed pass when that trace exceeds the resident budget"
+        )
     opts = current_options()
     jobs = opts.jobs if jobs is None else max(1, int(jobs))
     resolved_cache = opts.cache if cache is None else (cache or None)
     from .parallel import sweep_options
 
-    with sweep_options(trace=trace, pruning=pruning):
+    with sweep_options(pruning=pruning):
         names, rows = measure_cells(
             list(backends),
             tuple(ns),

@@ -409,7 +409,8 @@ DECLARATIONS: Dict[str, MetricDecl] = {
             kind="gauge",
             help=(
                 "Wall seconds of the latest bench stage; labels: stage"
-                " (reexec|trace_cold|trace_warm)"
+                " (trace_cold|trace_warm|large_calibration_brute|"
+                "large_calibration_pruned|large_sweep)"
             ),
             unit="seconds",
         ),

@@ -29,8 +29,6 @@ class ServiceConfig:
     #: extra seconds a batch waits for more cells after taking every
     #: queued one; 0 dispatches the backlog at once.
     batch_window_s: float = 0.0
-    #: most distinct cells folded into one dispatch.
-    max_batch_cells: int = 64
     #: backpressure bound: queued + in-dispatch cells beyond this reject.
     max_queue_cells: int = 1024
     #: deadline budget for requests that do not send ``deadline_s``.

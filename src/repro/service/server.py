@@ -111,6 +111,9 @@ _REJECT_STATUS = {
 #: Measurements the service's memory tier holds (an LRU, in cells).
 _MEMORY_CELLS = 4096
 
+#: Most distinct cells folded into one dispatch.
+_MAX_BATCH_CELLS = 64
+
 
 @dataclass
 class _PendingCell:
@@ -464,7 +467,7 @@ class SweepService:
 
         Whenever the dispatch thread is free, the batch is the first
         queued cell plus every cell already queued behind it (up to
-        ``max_batch_cells``), taken without awaiting — so a sweep, whose
+        ``_MAX_BATCH_CELLS``), taken without awaiting — so a sweep, whose
         cells are enqueued with no suspension point between them, lands
         in one dispatch, and cells arriving during a dispatch form the
         next batch.  Only a positive ``batch_window_s`` then waits up to
@@ -474,7 +477,7 @@ class SweepService:
         while True:
             batch = [await self._queue.get()]
             window_ends = loop.time() + self.config.batch_window_s
-            while len(batch) < self.config.max_batch_cells:
+            while len(batch) < _MAX_BATCH_CELLS:
                 if not self._queue.empty():
                     batch.append(self._queue.get_nowait())
                     continue

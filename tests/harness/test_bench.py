@@ -6,14 +6,14 @@ import pytest
 
 from repro.harness.bench import (
     BENCH_SCHEMA_VERSION,
-    compare_to_baseline,
+    bench_failures,
     render_bench,
     run_bench,
     write_bench,
 )
 
-#: a deliberately tiny profile: the record shape and the equivalence
-#: check are under test here, not the speedup magnitude.
+#: a deliberately tiny profile: the record shape, the trace-work counts
+#: and the equivalence check are under test here, not wall times.
 TINY = dict(ns=(64, 96), periods=1, platforms=["reference", "ap:staran"])
 
 
@@ -25,79 +25,115 @@ def result():
 class TestRunBench:
     def test_record_shape(self, result):
         assert result["schema"] == BENCH_SCHEMA_VERSION
-        assert [s["name"] for s in result["stages"]] == [
-            "reexec", "trace_cold", "trace_warm",
-        ]
+        assert [s["name"] for s in result["stages"]] == ["trace_cold", "trace_warm"]
         assert all(s["wall_s"] > 0 for s in result["stages"])
         assert result["config"]["ns"] == [64, 96]
         assert result["config"]["platforms"] == ["reference", "ap:staran"]
-        assert result["speedup"]["cold"] > 0
-        assert result["speedup"]["warm"] > 0
 
     def test_stages_are_equivalent(self, result):
         assert result["equivalent"] is True
+
+    def test_stages_count_exact_trace_work(self, result):
+        cold, warm = result["stages"]
+        assert cold["cells"] == warm["cells"] == 4
+        assert cold["traces"]["compute"] == 2  # one per fleet size
+        assert cold["traces"]["memo"] == 2
+        assert warm["traces"]["compute"] == 0
+        assert warm["traces"]["memo"] == 4
+        assert cold["traces"]["stream"] == warm["traces"]["stream"] == 0
+        assert result["failures"] == []
 
     def test_record_is_json_round_trippable(self, result, tmp_path):
         out = tmp_path / "BENCH_test.json"
         write_bench(str(out), result)
         again = json.loads(out.read_text(encoding="utf-8"))
-        assert again["speedup"]["cold"] == result["speedup"]["cold"]
+        assert again["stages"] == result["stages"]
+        assert again["failures"] == []
         assert again["equivalent"] is True
 
     def test_render_mentions_every_stage(self, result):
         text = render_bench(result)
-        for stage in ("reexec", "trace_cold", "trace_warm"):
+        for stage in ("trace_cold", "trace_warm"):
             assert stage in text
 
 
-class TestCompareToBaseline:
-    def _record(self, cold, equivalent=True):
-        return {"equivalent": equivalent, "speedup": {"cold": cold, "warm": cold}}
+class TestBenchFailures:
+    """The gate's verdict on synthetic records: the expectations come
+    from the config alone."""
 
-    def test_passes_at_and_above_the_floor(self):
-        baseline = self._record(4.0)
-        assert compare_to_baseline(self._record(4.0), baseline) == []
-        assert compare_to_baseline(self._record(3.0), baseline) == []  # exactly -25%
-        assert compare_to_baseline(self._record(9.9), baseline) == []
+    @staticmethod
+    def _record():
+        def stage(name, compute, memo):
+            return {
+                "name": name,
+                "wall_s": 1.0,
+                "cells": 28,
+                "traces": {
+                    "compute": compute, "memo": memo, "store": 0, "pool": 0,
+                    "stream": 0,
+                },
+            }
 
-    def test_fails_below_the_floor(self):
-        failures = compare_to_baseline(self._record(2.9), self._record(4.0))
-        assert len(failures) == 1 and "regressed" in failures[0]
+        return {
+            "config": {"ns": [96, 480, 960, 1920], "platforms": ["p"] * 7},
+            "stages": [stage("trace_cold", 4, 24), stage("trace_warm", 0, 28)],
+            "equivalent": True,
+        }
 
-    def test_fails_on_non_equivalence_regardless_of_speed(self):
-        failures = compare_to_baseline(
-            self._record(99.0, equivalent=False), self._record(4.0)
-        )
-        assert any("byte-identical" in f for f in failures)
+    def test_one_trace_per_fleet_size_passes(self):
+        assert bench_failures(self._record()) == []
 
-    def test_max_regression_is_configurable(self):
-        baseline = self._record(4.0)
-        # zero tolerance: anything below the baseline itself fails
-        assert compare_to_baseline(
-            self._record(4.0), baseline, max_regression=0.0
-        ) == []
-        assert compare_to_baseline(
-            self._record(3.9), baseline, max_regression=0.0
-        ) != []
-        # half tolerance: 2.0 is the floor
-        assert compare_to_baseline(
-            self._record(2.0), baseline, max_regression=0.5
-        ) == []
-        assert compare_to_baseline(
-            self._record(1.9), baseline, max_regression=0.5
-        ) != []
+    def test_a_trace_per_cell_fails(self):
+        record = self._record()
+        record["stages"][0]["traces"].update(compute=28, memo=0)
+        assert bench_failures(record) == ["trace_cold computed 28 traces, expected 4"]
+
+    def test_a_warm_stage_that_computes_fails(self):
+        record = self._record()
+        record["stages"][1]["traces"].update(compute=4, memo=24)
+        assert bench_failures(record) == ["trace_warm computed 4 traces, expected 0"]
+
+    @pytest.mark.parametrize("stage", [0, 1])
+    def test_a_stage_that_streamed_fails(self, stage):
+        record = self._record()
+        record["stages"][stage]["traces"]["stream"] = 1
+        failures = bench_failures(record)
+        assert len(failures) == 1 and "streamed 1 private passes" in failures[0]
+
+    def test_a_byte_difference_fails(self):
+        record = self._record()
+        record["equivalent"] = False
+        failures = bench_failures(record)
+        assert len(failures) == 1 and "not byte-identical" in failures[0]
+
+    def test_a_stage_missing_cells_fails(self):
+        record = self._record()
+        record["stages"][1]["cells"] = 27
+        failures = bench_failures(record)
+        assert failures == [
+            "trace_warm measured 27 cells, expected 28 (7 platforms x 4 fleet sizes)"
+        ]
+
+    def test_duplicate_sizes_share_one_trace(self):
+        record = self._record()
+        record["config"]["ns"] = [96, 96]
+        for stage in record["stages"]:
+            stage["cells"] = 14
+        record["stages"][0]["traces"]["compute"] = 1
+        assert bench_failures(record) == []
 
 
-class TestCommittedBaseline:
-    def test_smoke_baseline_is_valid_and_equivalent(self):
-        """The committed CI baseline must itself be a passing record."""
+class TestCommittedRecord:
+    def test_committed_smoke_record_passes_the_gate(self):
+        """The committed BENCH_trace_engine.json is a passing record of
+        the smoke profile."""
         from pathlib import Path
 
-        path = (
-            Path(__file__).resolve().parents[2]
-            / "benchmarks" / "baselines" / "bench_smoke.json"
-        )
-        baseline = json.loads(path.read_text(encoding="utf-8"))
-        assert baseline["schema"] == BENCH_SCHEMA_VERSION
-        assert baseline["equivalent"] is True
-        assert baseline["speedup"]["cold"] >= 3.0
+        from repro.harness.bench import BENCH_PLATFORMS, SMOKE_BENCH_NS
+
+        path = Path(__file__).resolve().parents[2] / "BENCH_trace_engine.json"
+        record = json.loads(path.read_text(encoding="utf-8"))
+        assert record["schema"] == BENCH_SCHEMA_VERSION
+        assert record["config"]["ns"] == list(SMOKE_BENCH_NS)
+        assert record["config"]["platforms"] == list(BENCH_PLATFORMS)
+        assert record["failures"] == bench_failures(record) == []

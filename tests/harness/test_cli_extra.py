@@ -69,41 +69,46 @@ class TestBenchCommand:
         assert rc == 0
         data = json.loads(out_path.read_text())
         assert data["equivalent"] is True
-        assert "speedup" in capsys.readouterr().out
+        assert data["failures"] == []
+        assert "gate         pass" in capsys.readouterr().out
 
-    def test_bench_baseline_gate(self, capsys, tmp_path):
-        out_path = tmp_path / "BENCH_test.json"
-        args = [
+    def test_bench_gate_fails_when_the_memo_keeps_nothing(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """Every cell then runs its own functional pass: the regression
+        the gate exists for, caught by its exact compute counts."""
+        import importlib
+        from collections import OrderedDict
+
+        sweep_module = importlib.import_module("repro.harness.sweep")
+
+        class KeepsNothing(OrderedDict):
+            def __setitem__(self, key, value):
+                pass
+
+            def move_to_end(self, key, last=True):
+                pass
+
+        monkeypatch.setattr(sweep_module, "_TRACE_MEMO", KeepsNothing())
+        rc = main([
             "bench", "--ns", "64", "96", "--periods", "1",
             "--platforms", "reference", "ap:staran",
-            "--out", str(out_path),
-        ]
-        assert main(args) == 0
-        baseline = json.loads(out_path.read_text())
-
-        # an impossible baseline speedup must fail the gate...
-        baseline["speedup"]["cold"] = 1e9
-        strict = tmp_path / "strict.json"
-        strict.write_text(json.dumps(baseline))
-        rc = main(args + ["--baseline", str(strict), "--max-regression", "0.25"])
+            "--out", str(tmp_path / "BENCH_test.json"),
+        ])
         assert rc == 1
-        assert "regressed" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "FAIL: trace_cold computed 4 traces, expected 2" in err
+        assert "FAIL: trace_warm computed 4 traces, expected 0" in err
 
-        # ...and a trivially low one must pass.
-        baseline["speedup"]["cold"] = 1e-9
-        loose = tmp_path / "loose.json"
-        loose.write_text(json.dumps(baseline))
-        assert main(args + ["--baseline", str(loose)]) == 0
-
-    def test_report_accepts_no_trace_replay(self, tmp_path):
-        on_path = tmp_path / "on.json"
-        off_path = tmp_path / "off.json"
-        assert main(["report", "--only", "fig5", "--out", str(on_path)]) == 0
-        assert main([
-            "report", "--only", "fig5", "--no-trace-replay",
-            "--out", str(off_path),
-        ]) == 0
-        assert json.loads(on_path.read_text()) == json.loads(off_path.read_text())
+    def test_bench_rejects_more_sizes_than_the_memo_holds(self, capsys, tmp_path):
+        ns = [str(64 + i) for i in range(17)]
+        rc = main([
+            "bench", "--ns", *ns, "--periods", "1", "--platforms", "reference",
+            "--out", str(tmp_path / "BENCH_test.json"),
+        ])
+        assert rc == 2
+        assert "capacity of 16" in capsys.readouterr().err
+        assert not (tmp_path / "BENCH_test.json").exists()
 
     def test_report_cache_dir_populates_trace_tier(self, capsys, tmp_path):
         cache_dir = tmp_path / "cache"

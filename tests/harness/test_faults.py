@@ -161,19 +161,27 @@ class TestChaosByteEquivalence:
         assert c.find("harness.fault"), "failures must emit harness.fault spans"
 
     def test_worker_crash_is_survived_and_byte_identical(self):
-        """Killed pool workers break the whole pool; the executor rebuilds
-        it, resubmits, and the merged bytes don't move."""
-        baseline = clean_sweep_json()
+        """A killed pool worker breaks the whole pool; the executor
+        rebuilds it once, resubmits, and the merged bytes don't move.  A
+        resubmitted cell draws its directive under its own count of
+        submissions, so the crash that broke the pool does not fire
+        again and every cell still finishes on the pool."""
+        baseline = clean_sweep_json()  # also warms the memo: no prefetches
         plan = FaultPlan({"crash": 0.5}, seed=11)
-        assert any(
-            plan.should_inject("crash", f"{p}@{n}", 0)
-            for p in ("reference", "gtx-880m")
+        crashing = [
+            f"{p}@{n}"
+            for p in ("reference", "cuda:gtx-880m")
             for n in NS
-        ), "seed must actually kill at least one worker"
+            if plan.should_inject("crash", f"{p}@{n}", 0)
+        ]
+        assert crashing == ["cuda:gtx-880m@192"], "seed must kill one worker"
         with recording() as r, sweep_options(faults=plan, retry=FAST_RETRY):
             chaos = sweep(PLATFORMS, ns=NS, periods=1, jobs=JOBS).to_canonical_json()
         assert chaos == baseline
-        assert r.value("atm_faults", kind="worker-crash") >= 1
+        assert r.value("atm_faults", kind="injected") == 1
+        assert r.value("atm_faults", kind="worker-crash") == 1
+        assert r.value("atm_faults", kind="degraded-to-inline") is None
+        assert r.value("atm_shards", source="pool") == 4
 
     def test_shard_timeout_is_survived_and_byte_identical(self):
         baseline = clean_sweep_json()
@@ -295,6 +303,18 @@ class TestTraceStoreTraffic:
         traces = TraceStore(tmp_path / "traces")
         with sweep_options(traces=traces):
             sweep(PLATFORMS, ns=NS, periods=1, jobs=jobs)
+        stats = traces.stats()
+        assert stats["misses"] == stats["stores"] == stats["entries"] == len(NS)
+
+    def test_prefetch_the_pool_gives_up_on_misses_once(self, tmp_path):
+        """A trace prefetch that ends in the parent computes there
+        without probing the store again."""
+        _TRACE_MEMO.clear()
+        traces = TraceStore(tmp_path / "traces")
+        plan = FaultPlan({"crash": 1.0}, seed=2, faulted_attempts=99)
+        retry = RetryPolicy(max_attempts=2, backoff_s=0.001)
+        with sweep_options(traces=traces, faults=plan, retry=retry):
+            sweep(PLATFORMS, ns=NS, periods=1, jobs=2)
         stats = traces.stats()
         assert stats["misses"] == stats["stores"] == stats["entries"] == len(NS)
 

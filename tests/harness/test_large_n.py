@@ -8,6 +8,7 @@ layers where the policy actually gets threaded.
 """
 
 import dataclasses
+import importlib
 import json
 
 import pytest
@@ -33,6 +34,8 @@ from repro.harness.parallel import sweep_options
 from repro.harness.report import build_report
 from repro.harness.sweep import _TRACE_MEMO, measure_platform, sweep
 from repro.obs.metrics import MetricsRegistry, recording
+
+sweep_module = importlib.import_module("repro.harness.sweep")
 
 PLATFORMS = ["cuda:titan-x-pascal", "ap:staran"]
 NS = (96, 192)
@@ -96,12 +99,13 @@ class TestTraceBudget:
     def test_default_budget_admits_paper_cells(self):
         assert DEFAULT_TRACE_BUDGET.allows_resident(estimate_trace_bytes(3840, 3))
 
-    def test_streamed_replay_is_byte_identical(self):
+    def test_streamed_replay_is_byte_identical(self, monkeypatch):
         baseline = canonical_sweep()
         tiny = TraceBudget(max_resident_bytes=1024, max_payload_bytes=1024)
+        monkeypatch.setattr(sweep_module, "DEFAULT_TRACE_BUDGET", tiny)
         _TRACE_MEMO.clear()
         registry = MetricsRegistry()
-        with recording(registry), sweep_options(trace_budget=tiny):
+        with recording(registry):
             data = sweep(PLATFORMS, NS, periods=2, cache=False)
         assert data.to_canonical_json() == baseline
         assert not _TRACE_MEMO  # nothing memoized above the resident bound

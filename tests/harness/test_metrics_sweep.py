@@ -9,6 +9,7 @@ measurement tables.
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 from collections import Counter
@@ -16,6 +17,7 @@ from collections import Counter
 import pytest
 
 from repro.analysis.deadlines import deadline_verdicts
+from repro.core.trace import TraceBudget
 from repro.harness.cache import ResultCache
 from repro.harness.faults import FaultPlan, RetryPolicy
 from repro.harness.figures import deadline_table
@@ -26,6 +28,8 @@ from repro.obs import aggregate_spans, collecting
 from repro.obs.metrics import recording
 from repro.core.canonical import canonical_json
 from repro.service.journal import RequestJournal
+
+sweep_module = importlib.import_module("repro.harness.sweep")
 
 JOBS = int(os.environ.get("ATM_REPRO_TEST_JOBS", "4"))
 
@@ -247,17 +251,19 @@ class TestSpanRegistryAgreement:
         shards, _, _ = self._record(cache=cache)
         assert shards == {"cache": 4}
 
-    def test_pool_workers_ship_their_metrics(self):
-        """Each pool worker streams a private pass; its trace counts and
-        bytes reach the parent registry, and the deadline series are
-        still counted once per cell, exactly as a serial run counts
-        them."""
-        shards, _, r = self._record(jobs=2, trace=False, cache=False)
+    def test_pool_workers_ship_their_metrics(self, monkeypatch):
+        """Under a budget too small to ship any trace, each pool worker
+        streams a private pass; its trace counts and bytes reach the
+        parent registry, and the deadline series are still counted once
+        per cell, exactly as a serial run counts them."""
+        tiny = TraceBudget(max_resident_bytes=1024, max_payload_bytes=1024)
+        monkeypatch.setattr(sweep_module, "DEFAULT_TRACE_BUDGET", tiny)
+        shards, _, r = self._record(jobs=2, cache=False)
         assert shards == {"pool": 4}
         assert r.value("atm_trace_requests", source="stream") == 4
         assert r.series("atm_trace_bytes")
         with recording() as serial:
-            self._sweep(jobs=1, trace=False, cache=False)
+            self._sweep(jobs=1, cache=False)
         assert canonical_json(r.snapshot(deterministic_only=True)) == canonical_json(
             serial.snapshot(deterministic_only=True)
         )

@@ -5,11 +5,13 @@ cell into one functional pass plus per-backend cost replays is an
 *execution* detail — it may never change a byte of the produced data,
 whether the trace comes from the in-process memo, the on-disk
 :class:`~repro.harness.cache.TraceStore`, a worker pool, or a private
-pass of the cell's own.  The oracle is a hand-written direct run — the
+pass of the cell's own (the streamed pass of a cell whose trace exceeds
+the resident budget).  The oracle is a hand-written direct run — the
 backend's own task calls, as the schedules make them — so this suite
 is what ties the schedules to the sweeps.
 """
 
+import importlib
 import json
 import os
 
@@ -19,7 +21,12 @@ from repro.backends.registry import resolve_backend
 from repro.core.collision import DetectionMode
 from repro.core.radar import generate_radar_frame
 from repro.core.setup import setup_flight
-from repro.core.trace import FunctionalTrace, compute_trace
+from repro.core.trace import (
+    FunctionalTrace,
+    TraceBudget,
+    compute_trace,
+    estimate_trace_bytes,
+)
 from repro.harness.cache import TraceStore
 from repro.harness.parallel import sweep_options
 from repro.harness.sweep import (
@@ -29,6 +36,8 @@ from repro.harness.sweep import (
     sweep,
 )
 from repro.obs.metrics import recording
+
+sweep_module = importlib.import_module("repro.harness.sweep")
 
 JOBS = int(os.environ.get("ATM_REPRO_TEST_JOBS", "4"))
 
@@ -71,6 +80,17 @@ def direct_run(platform, n, *, seed, periods, mode) -> PlatformMeasurement:
     )
 
 
+def force_stream(monkeypatch, n, periods):
+    """Set the one trace budget the harness reads just below the cell's
+    estimated size, so the cell replays a private streamed pass."""
+    below = estimate_trace_bytes(n, periods) - 1
+    monkeypatch.setattr(
+        sweep_module,
+        "DEFAULT_TRACE_BUDGET",
+        TraceBudget(max_resident_bytes=below, max_payload_bytes=below),
+    )
+
+
 @pytest.fixture(autouse=True)
 def _fresh_memo():
     _TRACE_MEMO.clear()
@@ -81,7 +101,9 @@ def _fresh_memo():
 class TestPerBackendEquivalence:
     @pytest.mark.parametrize("backend", REPLAY_BACKENDS)
     @pytest.mark.parametrize("n,seed,mode", CELLS)
-    def test_replay_is_byte_identical_to_direct(self, backend, n, seed, mode):
+    def test_replay_is_byte_identical_to_direct(
+        self, backend, n, seed, mode, monkeypatch
+    ):
         direct = canon(direct_run(backend, n, seed=seed, periods=2, mode=mode))
         # round-trip the trace through its array buffer on purpose: the
         # pool and the on-disk store both hand backends decoded buffers,
@@ -92,7 +114,8 @@ class TestPerBackendEquivalence:
         cell = dict(seed=seed, periods=2, mode=mode, cache=False)
         shared = measure_platform(backend, n, trace=trace, **cell)
         ambient = measure_platform(backend, n, **cell)
-        private = measure_platform(backend, n, trace=False, **cell)
+        force_stream(monkeypatch, n, 2)
+        private = measure_platform(backend, n, **cell)
         assert canon(shared) == direct
         assert canon(ambient) == direct
         assert canon(private) == direct
@@ -109,24 +132,23 @@ class TestTracePolicy:
         assert r.value("atm_trace_requests", source="memo") == 1
         assert canon(first) == canon(second)
 
-    def test_trace_false_streams_without_memoizing(self):
+    def test_trace_false_streams_without_memoizing(self, monkeypatch):
+        """A cell above the resident budget streams a private pass and
+        memoizes nothing; the budget, never the caller, picks the stream."""
+        force_stream(monkeypatch, 96, 2)
         with recording() as r:
-            measure_platform("reference", 96, periods=2, cache=False, trace=False)
+            measure_platform("reference", 96, periods=2, cache=False)
         assert len(_TRACE_MEMO) == 0
         assert r.value("atm_trace_requests", source="stream") == 1
         assert r.value("atm_trace_requests", source="compute") is None
 
-    def test_trace_true_uses_the_shared_trace(self):
-        cell = dict(periods=2, cache=False)
-        ambient = measure_platform("cuda:gtx-880m", 96, **cell)
-        _TRACE_MEMO.clear()
-        # True means the shared trace even under an ambient policy that is off.
-        with sweep_options(trace=False), recording() as r:
-            shared = measure_platform("cuda:gtx-880m", 96, trace=True, **cell)
-        assert canon(shared) == canon(ambient)
-        assert len(_TRACE_MEMO) == 1
-        assert r.value("atm_trace_requests", source="compute") == 1
-        assert r.value("atm_trace_requests", source="stream") is None
+    def test_no_switch_selects_the_records(self):
+        """``sweep(trace=)`` keeps only the values that mean the one rule,
+        and ``measure_platform(trace=)`` takes a trace or nothing."""
+        with pytest.raises(ValueError, match="only None or True"):
+            sweep(["reference"], ns=(96,), periods=1, trace=False)
+        with pytest.raises(TypeError):
+            measure_platform("reference", 96, periods=1, cache=False, trace=True)
 
     def test_mismatched_trace_is_rejected(self):
         trace = compute_trace(96, periods=2)
@@ -148,17 +170,12 @@ class TestTracePolicy:
 
 
 class TestSweepEquivalence:
-    def test_trace_on_and_off_are_byte_identical(self):
-        on = sweep(REPLAY_BACKENDS, ns=(96, 192), periods=2, trace=True)
-        off = sweep(REPLAY_BACKENDS, ns=(96, 192), periods=2, trace=False)
-        assert on.to_canonical_json() == off.to_canonical_json()
-
     def test_pool_with_traces_matches_serial_without(self):
-        serial = sweep(REPLAY_BACKENDS, ns=(96, 192), periods=2, trace=False)
+        """Pool workers replaying shipped traces match the serial sweep,
+        whose cells replay the in-process shared trace."""
+        serial = sweep(REPLAY_BACKENDS, ns=(96, 192), periods=2)
         _TRACE_MEMO.clear()
-        pooled = sweep(
-            REPLAY_BACKENDS, ns=(96, 192), periods=2, trace=True, jobs=JOBS
-        )
+        pooled = sweep(REPLAY_BACKENDS, ns=(96, 192), periods=2, jobs=JOBS)
         assert pooled.to_canonical_json() == serial.to_canonical_json()
 
     def test_trace_store_round_trip_is_byte_identical(self, tmp_path):
@@ -174,10 +191,3 @@ class TestSweepEquivalence:
         assert r.value("atm_trace_requests", source="store") == 2
         assert r.value("atm_trace_requests", source="compute") is None
         assert warm.to_canonical_json() == cold.to_canonical_json()
-
-    def test_report_bytes_identical_with_and_without_engine(self):
-        from repro.harness.report import build_report
-
-        on = build_report(only=["fig5"], trace=True)
-        off = build_report(only=["fig5"], trace=False)
-        assert json.dumps(on, sort_keys=True) == json.dumps(off, sort_keys=True)

@@ -190,7 +190,7 @@ class TestNoOpMode:
         assert not metrics_active()
         assert get_registry() is None
         metric_inc("atm_shards", source="pool")
-        metric_set("atm_bench_stage_seconds", 1.0, stage="reexec")
+        metric_set("atm_bench_stage_seconds", 1.0, stage="trace_cold")
         metric_observe("atm_deadline_margin_seconds", 0.1, platform="ap", n_aircraft=1, period="tracking", source="sweep")
 
     def test_recording_scopes_the_registry(self):
@@ -213,7 +213,7 @@ class TestOpenMetrics:
     def _sample_registry(self):
         r = MetricsRegistry()
         r.inc("atm_shards", 4.0, source="pool")
-        r.set("atm_bench_stage_seconds", 1.25, stage="reexec")
+        r.set("atm_bench_stage_seconds", 1.25, stage="trace_cold")
         for v in (-0.1, 0.2, 0.45):
             r.observe("atm_deadline_margin_seconds", v, platform="mimd:xeon-16", n_aircraft=1920, period="tracking", source="sweep")
         return r

@@ -13,8 +13,10 @@ from repro.core.collision import (
     detect,
 )
 from repro.core.geometry import rotate_velocity, wraparound
-from repro.core.radar import fourth_reversal_permutation
+from repro.core.radar import fourth_reversal_permutation, generate_radar_frame
 from repro.core.rng import Stream, random_unit
+from repro.core.setup import setup_flight
+from repro.core.tracking import correlate
 from repro.core.types import FleetState
 
 finite = st.floats(
@@ -173,3 +175,31 @@ class TestDetectionProperties:
         sa = detect(a, DetectionMode.SIGNED)
         sb = detect(b, DetectionMode.PAPER_ABS)
         assert sb.conflicts >= sa.conflicts
+
+
+class TestCorrelationProperties:
+    """Task 1's commit step takes an aircraft's radar position on one
+    test, ``r_match == MATCHED_ONCE``; it relies on this invariant."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.sampled_from((96, 480, 960, 1920)),
+        seed=st.sampled_from((2018, 2019, 7)),
+        noise=st.sampled_from(((0.0, 0), (0.1, 20), (0.3, 200))),
+        periods=st.integers(min_value=1, max_value=3),
+    )
+    def test_a_held_radar_is_its_aircrafts_matched_radar(
+        self, n, seed, noise, periods
+    ):
+        dropout, clutter = noise
+        fleet = setup_flight(n, seed)
+        for period in range(periods):
+            frame = generate_radar_frame(
+                fleet, seed, period, dropout=dropout, clutter=clutter
+            )
+            correlate(fleet, frame)
+            held = np.flatnonzero(frame.match_with >= 0)
+            assert held.size > 0
+            assert np.array_equal(
+                fleet.matched_radar[frame.match_with[held]], held
+            )

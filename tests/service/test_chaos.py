@@ -193,7 +193,7 @@ class TestSigkillResume:
             assert pending == 0, f"{pending} admitted cells never replayed"
             # Every admitted fingerprint came back: cells served before
             # the kill restore from their journaled payloads, the rest
-            # re-enter the dispatcher (max_batch_cells may have flushed
+            # re-enter the dispatcher (the batch-size cap may have flushed
             # an early batch before the kill landed).
             assert (
                 stats["restored_cells"] + stats["replayed_cells"]
